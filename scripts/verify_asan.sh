@@ -9,7 +9,9 @@
 # suite: the DIMACS parser and clause-gadget lowering are classic
 # indexed-buffer parsing code, and the sim-labelled suite: the event
 # simulator's fanout/pending index arrays and the VCD writer are more
-# of the same (DESIGN.md §15).
+# of the same (DESIGN.md §15).  The embed-labelled suite covers the
+# minor embedder's per-try search arena: epoch-stamped labels, CSR
+# adjacency and reused heaps indexed by qubit id (DESIGN.md §16).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +19,8 @@ BUILD=build-asan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j --target stats_test cli_test packed_test \
-    dimacs_test sim_test qacc qma qsat
+    dimacs_test sim_test embed_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|sat|sim' --output-on-failure
+ctest -L 'stats|packed|sat|sim|embed' --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

@@ -6,7 +6,9 @@
 # passes are scheduled across threads like scalar reads, so the lane
 # state must stay thread-confined.  The sim suite rides along for the
 # differential oracle: diffCheck drives the exact solver's sharded
-# enumeration, so its result merging runs under TSan too.
+# enumeration, so its result merging runs under TSan too.  The embed
+# suite races embedder tries across workers: each try owns its search
+# arena, and no two concurrent tries may share one.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,7 +16,7 @@ BUILD=build-tsan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=thread >/dev/null
 cmake --build "$BUILD" -j --target parallel_test anneal_test \
-    packed_test dimacs_test sim_test
+    packed_test dimacs_test sim_test embed_test
 cd "$BUILD"
-ctest -L 'parallel|anneal|packed|sat|sim' --output-on-failure
+ctest -L 'parallel|anneal|packed|sat|sim|embed' --output-on-failure
 echo "tsan verify ok"

@@ -38,7 +38,7 @@ namespace qac::anneal {
  */
 enum class PackedMode : uint8_t
 {
-    Auto = 0, ///< packed when the read count makes it worthwhile
+    Auto = 0, ///< packed when reads >= 8 and a vector engine runs
     On = 1,   ///< always packed
     Off = 2,  ///< always the scalar per-read kernel
 };

@@ -209,12 +209,14 @@ SimulatedAnnealer::sample(const ising::IsingModel &model) const
         telemetry::Collector::global().beginRun("sa",
                                                 params_.num_reads);
 
-    // Multi-spin coding pays once enough reads share a packed pass;
-    // below that the scalar per-read kernel wins.  The two paths are
-    // bitwise-identical by contract, so this is purely a perf choice.
+    // Multi-spin coding pays once enough reads share a packed pass of
+    // a vector engine; below that, or on the scalar packed engine, the
+    // per-read kernel wins.  The two paths are bitwise-identical by
+    // contract, so this is purely a perf choice.
     const bool use_packed =
         params_.packed == PackedMode::On ||
-        (params_.packed == PackedMode::Auto && params_.num_reads >= 8);
+        (params_.packed == PackedMode::Auto && params_.num_reads >= 8 &&
+         selectPackedSweep() != &packedSweepScalar);
     if (use_packed) {
         const bool monotone = ratio >= 1.0;
         out = samplePackedReads(params_, kernel, betas, monotone, trun,

@@ -21,6 +21,18 @@ namespace {
 constexpr char kQoMagic[4] = {'Q', 'A', 'C', 'O'};
 
 /**
+ * Mark @p r failed: a structurally invalid payload (an index out of
+ * range of what was already decoded) is then reported as malformed
+ * instead of crashing whoever indexes with it.
+ */
+void
+poison(Reader &r)
+{
+    while (r.ok())
+        r.u64();
+}
+
+/**
  * Canonicalize a coefficient for serialization: -0.0 becomes +0.0 so
  * reloading through IsingModel's additive mutators (0.0 + v) cannot
  * change the stored bit pattern on the next serialize.
@@ -66,10 +78,7 @@ readModel(Reader &r)
         uint32_t j = r.u32();
         double v = r.f64();
         if (i == j || i >= n || j >= n) {
-            // Structurally invalid; poison the reader so the caller
-            // reports a malformed payload instead of crashing.
-            while (r.ok())
-                r.u64();
+            poison(r);
             break;
         }
         m.addQuadratic(i, j, v);
@@ -97,8 +106,7 @@ readStatement(Reader &r)
     qmasm::Statement s;
     uint8_t kind = r.u8();
     if (kind > static_cast<uint8_t>(qmasm::Statement::Kind::Comment)) {
-        while (r.ok())
-            r.u64();
+        poison(r);
         return s;
     }
     s.kind = static_cast<qmasm::Statement::Kind>(kind);
@@ -181,12 +189,18 @@ readAssembled(Reader &r)
     qmasm::Assembled a;
     a.model = readModel(r);
     uint64_t names = r.u64();
+    if (names != a.model.numVars()) // one name per variable
+        poison(r);
     for (uint64_t i = 0; i < names && r.ok(); ++i)
         a.var_names.push_back(r.str());
     uint64_t syms = r.u64();
     for (uint64_t i = 0; i < syms && r.ok(); ++i) {
         std::string sym = r.str();
         uint32_t var = r.u32();
+        if (var >= a.model.numVars()) {
+            poison(r);
+            break;
+        }
         a.sym_to_var.emplace(std::move(sym), var);
     }
     uint64_t pins = r.u64();
@@ -274,8 +288,7 @@ readChains(Reader &r)
     for (uint64_t i = 0; i < n && r.ok(); ++i) {
         uint64_t len = r.u64();
         if (len * 4 > r.remaining()) {
-            while (r.ok())
-                r.u64();
+            poison(r);
             break;
         }
         std::vector<uint32_t> chain;
@@ -300,8 +313,25 @@ writeEmbedded(Writer &w, const embed::EmbeddedModel &em)
     w.f64(em.scale_factor);
 }
 
+/** Every qubit of @p chains is below @p limit. */
+bool
+chainsBelow(const std::vector<std::vector<uint32_t>> &chains,
+            size_t limit)
+{
+    for (const auto &chain : chains)
+        for (uint32_t q : chain)
+            if (q >= limit)
+                return false;
+    return true;
+}
+
+/**
+ * Read an embedded model over a hardware graph of @p nodes qubits (0
+ * when the object carries none, which no valid embedded model lacks):
+ * dense ids must index the physical model and hardware ids the graph.
+ */
 embed::EmbeddedModel
-readEmbedded(Reader &r)
+readEmbedded(Reader &r, size_t nodes)
 {
     embed::EmbeddedModel em;
     em.physical = readModel(r);
@@ -312,6 +342,13 @@ readEmbedded(Reader &r)
     em.embedding.chains = readChains(r);
     em.chain_strength = r.f64();
     em.scale_factor = r.f64();
+    if (em.phys_qubits.size() != em.physical.numVars() ||
+        em.dense_chains.size() != em.embedding.chains.size() ||
+        !chainsBelow(em.dense_chains, em.phys_qubits.size()) ||
+        !std::all_of(em.phys_qubits.begin(), em.phys_qubits.end(),
+                     [&](uint32_t q) { return q < nodes; }) ||
+        !chainsBelow(em.embedding.chains, nodes))
+        poison(r);
     return em;
 }
 
@@ -355,8 +392,7 @@ readDecode(Reader &r)
         cl.hard = r.u8() != 0;
         uint64_t nlits = r.u64();
         if (nlits * 4 > r.remaining()) {
-            while (r.ok())
-                r.u64();
+            poison(r);
             break;
         }
         cl.lits.reserve(static_cast<size_t>(nlits));
@@ -417,13 +453,20 @@ deserializeQo(std::string_view bytes, std::string *error)
     if (r.u8()) {
         res.hardware = readHardware(r);
     }
+    const size_t nodes = res.hardware ? res.hardware->numNodes() : 0;
     if (r.u8()) {
         embed::Embedding emb;
         emb.chains = readChains(r);
+        if (!chainsBelow(emb.chains, nodes))
+            poison(r);
         res.embedding = std::move(emb);
     }
     if (r.u8()) {
-        res.embedded = readEmbedded(r);
+        res.embedded = readEmbedded(r, nodes);
+        // One chain per logical variable, as embedModel built it.
+        if (res.embedded->dense_chains.size() !=
+            res.assembled.model.numVars())
+            poison(r);
     }
     auto &s = res.stats;
     for (size_t *v : {&s.source_lines, &s.edif_lines, &s.qmasm_lines,

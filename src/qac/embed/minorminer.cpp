@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "qac/exec/exec.h"
 #include "qac/stats/registry.h"
@@ -15,6 +14,7 @@ namespace qac::embed {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr uint32_t kNone = UINT32_MAX;
 
 class Embedder
 {
@@ -23,7 +23,8 @@ class Embedder
              size_t num_logical, const chimera::HardwareGraph &hw,
              const EmbedParams &params)
         : hw_(hw), params_(params), nbrs_(num_logical),
-          chains_(num_logical), usage_(hw.numNodes(), 0)
+          chains_(num_logical), usage_(hw.numNodes(), 0),
+          roots_(hw.numNodes())
     {
         for (const auto &[a, b] : edges) {
             if (a >= num_logical || b >= num_logical)
@@ -37,6 +38,7 @@ class Embedder
             std::sort(nb.begin(), nb.end());
             nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
         }
+        buildActiveGraph();
     }
 
     /** One independent restart; abandons work once @p token reports a
@@ -46,11 +48,55 @@ class Embedder
     {
         token_ = &token;
         index_ = index;
+        auto emb = tryOnce(rng);
         stats::count("embed.minorminer.tries");
-        return tryOnce(rng);
+        stats::count("embed.minorminer.rounds", work_.rounds);
+        stats::count("embed.minorminer.placements", work_.placements);
+        stats::count("embed.minorminer.searches", work_.searches);
+        stats::count("embed.minorminer.settled", work_.settled);
+        stats::count("embed.minorminer.unbounded", work_.unbounded);
+        return emb;
     }
 
   private:
+    /** A qubit's state in one neighbor's search; valid only while
+     *  epoch matches the current placement. */
+    struct Label
+    {
+        double dist;
+        uint32_t pred; ///< kNone on the source chain
+        uint32_t epoch;
+    };
+    using Item = std::pair<double, uint32_t>;
+    /** Shortest-path search from one embedded neighbor's chain. */
+    struct Search
+    {
+        std::vector<Label> label;
+        std::vector<Item> heap; ///< min-heap on (dist, qubit)
+
+        double
+        frontier() const
+        {
+            return heap.empty() ? kInf : heap.front().first;
+        }
+    };
+    /** Per-qubit root candidacy; valid while epoch matches. */
+    struct Root
+    {
+        double factor;  ///< multiplicative cost noise, >= 1
+        uint32_t epoch; ///< placement in which the qubit is feasible
+        uint32_t hits;  ///< searches that have settled it
+    };
+    /** Work counters, flushed to the stats registry once per try. */
+    struct Work
+    {
+        uint64_t rounds = 0;
+        uint64_t placements = 0;
+        uint64_t searches = 0;
+        uint64_t settled = 0;
+        uint64_t unbounded = 0;
+    };
+
     const chimera::HardwareGraph &hw_;
     const EmbedParams &params_;
     std::vector<std::vector<uint32_t>> nbrs_; ///< logical adjacency
@@ -61,67 +107,217 @@ class Embedder
     const exec::CancelToken *token_ = nullptr;
     size_t index_ = 0;
 
-    double
-    weight(uint32_t q) const
+    // Active hardware graph, built once: CSR adjacency over active
+    // qubits and the active component of each qubit (kNone if off).
+    std::vector<uint32_t> adj_start_;
+    std::vector<uint32_t> adj_;
+    std::vector<uint32_t> comp_;
+
+    // Per-round weight table: level_weight_[u] = base^u.
+    double base_ = 1.0;
+    std::vector<double> level_weight_;
+    double min_weight_ = 1.0;
+    bool weight_overflow_ = false;
+
+    // Scratch arena reused by every placement of this try.
+    uint32_t epoch_ = 0;
+    std::vector<Search> searches_;
+    std::vector<Root> roots_;
+    std::vector<uint32_t> placed_nbrs_;
+    std::vector<uint32_t> touched_;
+    std::vector<uint32_t> path_;
+    Work work_;
+
+    void
+    buildActiveGraph()
     {
-        if (!hw_.isActive(q))
-            return kInf;
+        const uint32_t n = static_cast<uint32_t>(hw_.numNodes());
+        adj_start_.assign(n + 1, 0);
+        for (uint32_t q = 0; q < n; ++q) {
+            adj_start_[q] = static_cast<uint32_t>(adj_.size());
+            if (!hw_.isActive(q))
+                continue;
+            for (uint32_t v : hw_.neighbors(q))
+                if (hw_.isActive(v))
+                    adj_.push_back(v);
+        }
+        adj_start_[n] = static_cast<uint32_t>(adj_.size());
+
+        comp_.assign(n, kNone);
+        uint32_t comps = 0;
+        std::vector<uint32_t> stack;
+        for (uint32_t s = 0; s < n; ++s) {
+            if (!hw_.isActive(s) || comp_[s] != kNone)
+                continue;
+            comp_[s] = comps;
+            stack.push_back(s);
+            while (!stack.empty()) {
+                uint32_t u = stack.back();
+                stack.pop_back();
+                for (uint32_t i = adj_start_[u]; i < adj_start_[u + 1];
+                     ++i)
+                    if (comp_[adj_[i]] == kNone) {
+                        comp_[adj_[i]] = comps;
+                        stack.push_back(adj_[i]);
+                    }
+            }
+            ++comps;
+        }
+    }
+
+    /** Start a round's weight table, covering every current usage. */
+    void
+    beginRound()
+    {
         // The penalty base must exceed any possible fresh-path cost so
         // that one overlapped qubit is always worse than any detour
         // through unused qubits (CMR use |V|^usage).  Escalate mildly
         // with the round to shake persistent overlaps.
-        double base = params_.overuse_base > 0.0
-                          ? params_.overuse_base
-                          : static_cast<double>(hw_.numNodes());
-        base *= static_cast<double>(1 + round_);
-        return std::pow(base, static_cast<double>(usage_[q]));
+        base_ = params_.overuse_base > 0.0
+                    ? params_.overuse_base
+                    : static_cast<double>(hw_.numNodes());
+        base_ *= static_cast<double>(1 + round_);
+        level_weight_.clear();
+        min_weight_ = kInf;
+        weight_overflow_ = false;
+        uint32_t max_use = 0;
+        for (uint32_t u : usage_)
+            max_use = std::max(max_use, u);
+        while (level_weight_.size() <= max_use)
+            addLevel();
+    }
+
+    void
+    addLevel()
+    {
+        double w = std::pow(base_,
+                            static_cast<double>(level_weight_.size()));
+        level_weight_.push_back(w);
+        min_weight_ = std::min(min_weight_, w);
+        weight_overflow_ = weight_overflow_ || w == kInf;
+    }
+
+    /** Weight of active qubit @p q: base^usage. */
+    double
+    weight(uint32_t q) const
+    {
+        return level_weight_[usage_[q]];
+    }
+
+    void
+    use(uint32_t q)
+    {
+        if (++usage_[q] == level_weight_.size())
+            addLevel();
     }
 
     /**
-     * Multi-source Dijkstra from every qubit of @p sources.  dist[q] is
-     * the summed weight of the *interior* qubits on the cheapest path
-     * from the source set to q — q's own weight is excluded, so the
-     * caller can charge the root qubit exactly once across neighbors.
-     * pred[q] walks back toward the source set; is_source marks the
-     * source chain.
+     * Seed the search of slot @p k from every qubit of @p sources.
+     * Label dist is the summed weight of the *interior* qubits on the
+     * cheapest path from the source set — the reached qubit's own
+     * weight is excluded, so the caller can charge the root qubit
+     * exactly once across neighbors.  pred walks back toward the
+     * source set and is kNone on the source chain itself.
      */
     void
-    dijkstra(const std::vector<uint32_t> &sources,
-             std::vector<double> &dist, std::vector<uint32_t> &pred,
-             std::vector<bool> &is_source) const
+    startSearch(size_t k, const std::vector<uint32_t> &sources)
     {
-        const size_t n = hw_.numNodes();
-        dist.assign(n, kInf);
-        pred.assign(n, UINT32_MAX);
-        is_source.assign(n, false);
-        using Item = std::pair<double, uint32_t>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-        for (uint32_t s : sources) {
-            dist[s] = 0.0;
-            is_source[s] = true;
-            pq.emplace(0.0, s);
+        Search &s = searches_[k];
+        s.heap.clear();
+        for (uint32_t q : sources) {
+            s.label[q] = Label{0.0, kNone, epoch_};
+            s.heap.emplace_back(0.0, q);
+            std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>());
         }
-        while (!pq.empty()) {
-            auto [d, u] = pq.top();
-            pq.pop();
-            if (d > dist[u])
-                continue;
-            // Entering v costs the weight of u (the hop's interior
-            // node), except when u is a source-chain qubit.
-            double wu = is_source[u] ? 0.0 : weight(u);
-            if (wu == kInf)
-                continue;
-            for (uint32_t v : hw_.neighbors(u)) {
-                if (!hw_.isActive(v) || is_source[v])
-                    continue;
-                double nd = d + wu;
-                if (nd < dist[v]) {
-                    dist[v] = nd;
-                    pred[v] = u;
-                    pq.emplace(nd, v);
-                }
+    }
+
+    /**
+     * Pop search @p s's frontier.  Returns the qubit it settled, or
+     * kNone for a stale heap entry.  Settling order, distances and
+     * preds are those of a full Dijkstra from the same sources: the
+     * heap orders (dist, qubit) totally and every key is pushed once.
+     */
+    uint32_t
+    settleNext(Search &s)
+    {
+        std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+        auto [d, u] = s.heap.back();
+        s.heap.pop_back();
+        if (d > s.label[u].dist)
+            return kNone;
+        // Entering v costs the weight of u (the hop's interior node),
+        // except when u is a source-chain qubit.
+        double wu = s.label[u].pred == kNone ? 0.0 : weight(u);
+        if (wu == kInf)
+            return u;
+        double nd = d + wu;
+        for (uint32_t i = adj_start_[u]; i < adj_start_[u + 1]; ++i) {
+            uint32_t v = adj_[i];
+            Label &lv = s.label[v];
+            if (nd < (lv.epoch == epoch_ ? lv.dist : kInf)) {
+                lv = Label{nd, u, epoch_};
+                s.heap.emplace_back(nd, v);
+                std::push_heap(s.heap.begin(), s.heap.end(),
+                               std::greater<>());
             }
         }
+        return u;
+    }
+
+    /** Noisy root cost of @p q, settled in all @p k searches. */
+    double
+    rootCost(uint32_t q, size_t k) const
+    {
+        double c = weight(q);
+        for (size_t i = 0; i < k; ++i)
+            c += searches_[i].label[q].dist;
+        return c * roots_[q].factor;
+    }
+
+    /**
+     * True when no qubit still unsettled in some search can beat a
+     * root of cost @p best: untouched qubits cost at least w_min plus
+     * every frontier; a partly settled one at least its own weight
+     * plus its settled distances plus the other frontiers, times its
+     * noise.  Floating-point sums are monotone and noise is >= 1, so
+     * neither bound exceeds the real cost.
+     */
+    bool
+    rootIsFinal(double best, size_t k) const
+    {
+        double lb = min_weight_;
+        for (size_t i = 0; i < k; ++i)
+            lb += searches_[i].frontier();
+        if (!(lb > best))
+            return false;
+        for (uint32_t q : touched_) {
+            if (roots_[q].hits == k)
+                continue;
+            double c = weight(q);
+            for (size_t i = 0; i < k; ++i) {
+                const Search &s = searches_[i];
+                const Label &l = s.label[q];
+                c += l.epoch == epoch_ ? std::min(l.dist, s.frontier())
+                                       : s.frontier();
+            }
+            if (!(c * roots_[q].factor > best))
+                return false;
+        }
+        return true;
+    }
+
+    /** Advance to a fresh placement epoch, resetting stamps on wrap. */
+    void
+    nextEpoch()
+    {
+        if (++epoch_ != 0)
+            return;
+        for (auto &s : searches_)
+            for (auto &l : s.label)
+                l.epoch = 0;
+        for (auto &r : roots_)
+            r.epoch = 0;
+        epoch_ = 1;
     }
 
     void
@@ -139,34 +335,60 @@ class Embedder
         auto &c = chains_[u];
         if (std::find(c.begin(), c.end(), q) == c.end()) {
             c.push_back(q);
-            ++usage_[q];
+            use(q);
         }
     }
 
+    /** Make chains_[v], already filled, canonical and count its use. */
     void
-    install(uint32_t v, std::vector<uint32_t> chain)
+    install(uint32_t v)
     {
+        auto &chain = chains_[v];
         std::sort(chain.begin(), chain.end());
         chain.erase(std::unique(chain.begin(), chain.end()), chain.end());
         for (uint32_t q : chain)
-            ++usage_[q];
-        chains_[v] = std::move(chain);
+            use(q);
+    }
+
+    /**
+     * Mark the feasible roots of this placement — the active qubits
+     * that every placed neighbor's chain can reach — and draw their
+     * noise factors in ascending qubit order.  Returns how many there
+     * are.  Every chain is connected (a root plus paths from it, or a
+     * path donated next to an existing chain), so it lies in one
+     * component, and with finite weights reaches all of it.
+     */
+    size_t
+    drawFeasibleRoots(Rng &rng)
+    {
+        const uint32_t comp = comp_[chains_[placed_nbrs_[0]][0]];
+        for (uint32_t u : placed_nbrs_)
+            if (comp_[chains_[u][0]] != comp)
+                return 0;
+        size_t feasible = 0;
+        for (uint32_t q = 0; q < roots_.size(); ++q)
+            if (comp_[q] == comp) {
+                roots_[q] = Root{1.0 + noise_ * rng.uniform(), epoch_, 0};
+                ++feasible;
+            }
+        return feasible;
     }
 
     /** Re-place vertex @p v given the current chains of its neighbors. */
     bool
     placeVertex(uint32_t v, Rng &rng)
     {
+        ++work_.placements;
         tearOut(v);
 
-        std::vector<uint32_t> embedded_nbrs;
+        placed_nbrs_.clear();
         for (uint32_t u : nbrs_[v])
             if (!chains_[u].empty())
-                embedded_nbrs.push_back(u);
+                placed_nbrs_.push_back(u);
 
-        if (embedded_nbrs.empty()) {
+        if (placed_nbrs_.empty()) {
             // Free placement: pick a random least-used active qubit.
-            uint32_t best = UINT32_MAX;
+            uint32_t best = kNone;
             uint32_t best_use = UINT32_MAX;
             uint64_t seen = 0;
             for (uint32_t q = 0; q < hw_.numNodes(); ++q) {
@@ -183,55 +405,106 @@ class Embedder
                         best = q;
                 }
             }
-            if (best == UINT32_MAX)
+            if (best == kNone)
                 return false;
-            install(v, {best});
+            chains_[v].push_back(best);
+            install(v);
             return true;
         }
 
-        // One Dijkstra per embedded neighbor.
-        std::vector<std::vector<double>> dist(embedded_nbrs.size());
-        std::vector<std::vector<uint32_t>> pred(embedded_nbrs.size());
-        std::vector<std::vector<bool>> is_src(embedded_nbrs.size());
-        for (size_t k = 0; k < embedded_nbrs.size(); ++k)
-            dijkstra(chains_[embedded_nbrs[k]], dist[k], pred[k],
-                     is_src[k]);
+        // Root minimizing own weight + total interior connection cost,
+        // found by one search per placed neighbor.  Costs carry
+        // multiplicative noise: the hardware graph is highly symmetric
+        // and many near-equal placements exist; deterministic selection
+        // reliably traps the search in local minima (e.g. a walled-in
+        // singleton chain whose only overlap spot never moves), while
+        // noisy selection lets the overlap wander until a re-placement
+        // cascade resolves it.
+        //
+        // The searches advance interleaved, smallest frontier first, and
+        // stop as soon as the best root so far provably cannot be beaten
+        // (rootIsFinal); ties go to the lowest qubit, as in an ascending
+        // scan.  An overflowed weight table blocks paths, so
+        // reachability no longer follows components: the searches then
+        // run to exhaustion and roots are drawn and scored afterwards.
+        const size_t k = placed_nbrs_.size();
+        nextEpoch();
+        while (searches_.size() < k)
+            searches_.push_back(Search{
+                std::vector<Label>(hw_.numNodes(), Label{0.0, kNone, 0}),
+                {}});
+        const bool bounded = !weight_overflow_;
+        size_t feasible = 0;
+        if (bounded) {
+            feasible = drawFeasibleRoots(rng);
+            if (feasible == 0)
+                return false;
+        } else {
+            ++work_.unbounded;
+        }
+        for (size_t i = 0; i < k; ++i)
+            startSearch(i, chains_[placed_nbrs_[i]]);
+        work_.searches += k;
 
-        // Root minimizing own weight + total interior connection cost.
-        // Costs carry multiplicative noise: the hardware graph is
-        // highly symmetric and many near-equal placements exist;
-        // deterministic selection reliably traps the search in local
-        // minima (e.g. a walled-in singleton chain whose only overlap
-        // spot never moves), while noisy selection lets the overlap
-        // wander until a re-placement cascade resolves it.
-        uint32_t root = UINT32_MAX;
+        uint32_t root = kNone;
         double best_cost = kInf;
-        for (uint32_t q = 0; q < hw_.numNodes(); ++q) {
-            double w = weight(q);
-            if (w == kInf)
-                continue;
-            double c = w;
-            bool feasible = true;
-            for (size_t k = 0; k < embedded_nbrs.size(); ++k) {
-                // A root inside the neighbor's chain connects for free.
-                double d = is_src[k][q] ? 0.0 : dist[k][q];
-                if (d == kInf) {
-                    feasible = false;
-                    break;
-                }
-                c += d;
-            }
-            if (!feasible)
-                continue;
-            // Noise anneals away over the rounds: early exploration,
-            // late convergence.
-            c *= 1.0 + noise_ * rng.uniform();
-            if (c < best_cost) {
+        auto consider = [&](uint32_t q) {
+            double c = rootCost(q, k);
+            if (c < best_cost ||
+                (c == best_cost && c != kInf && q < root)) {
                 best_cost = c;
                 root = q;
             }
+        };
+        touched_.clear();
+        size_t scored = 0;
+        uint64_t settled = 0;
+        uint64_t next_check = 16;
+        for (;;) {
+            Search *next = nullptr;
+            for (size_t i = 0; i < k; ++i)
+                if (!searches_[i].heap.empty() &&
+                    (!next || searches_[i].frontier() < next->frontier()))
+                    next = &searches_[i];
+            if (!next)
+                break;
+            uint32_t q = settleNext(*next);
+            if (q == kNone)
+                continue;
+            ++settled;
+            if (!bounded)
+                continue;
+            Root &r = roots_[q];
+            if (r.epoch == epoch_) {
+                if (r.hits++ == 0)
+                    touched_.push_back(q);
+                if (r.hits == k) {
+                    consider(q);
+                    if (++scored == feasible)
+                        break;
+                }
+            }
+            if (settled >= next_check) {
+                next_check += next_check / 4;
+                if (root != kNone && rootIsFinal(best_cost, k))
+                    break;
+            }
         }
-        if (root == UINT32_MAX)
+        if (!bounded) {
+            for (uint32_t q = 0; q < roots_.size(); ++q) {
+                if (comp_[q] == kNone || weight(q) == kInf)
+                    continue;
+                bool reached = true;
+                for (size_t i = 0; i < k && reached; ++i)
+                    reached = searches_[i].label[q].epoch == epoch_;
+                if (!reached)
+                    continue;
+                roots_[q].factor = 1.0 + noise_ * rng.uniform();
+                consider(q);
+            }
+        }
+        work_.settled += settled;
+        if (root == kNone)
             return false;
 
         // Chain = root plus the root-side half of each connection path;
@@ -239,26 +512,22 @@ class Embedder
         // (CMR's path splitting).  Without the split, freshly placed
         // vertices absorb entire paths and balloon while their
         // neighbors stay as walled-in singletons.
-        std::vector<uint32_t> chain{root};
-        for (size_t k = 0; k < embedded_nbrs.size(); ++k) {
-            if (is_src[k][root])
-                continue;
-            std::vector<uint32_t> path; // root side first
-            uint32_t cur = root;
-            while (pred[k][cur] != UINT32_MAX) {
-                uint32_t nxt = pred[k][cur];
-                if (is_src[k][nxt])
-                    break; // reached the neighbor's chain
-                path.push_back(nxt);
-                cur = nxt;
-            }
-            size_t keep = (path.size() + 1) / 2;
-            for (size_t i = 0; i < keep; ++i)
-                chain.push_back(path[i]);
-            for (size_t i = keep; i < path.size(); ++i)
-                addToChain(embedded_nbrs[k], path[i]);
+        auto &chain = chains_[v];
+        chain.push_back(root);
+        for (size_t i = 0; i < k; ++i) {
+            const auto &label = searches_[i].label;
+            path_.clear(); // root side first
+            for (uint32_t cur = label[root].pred;
+                 cur != kNone && label[cur].pred != kNone;
+                 cur = label[cur].pred)
+                path_.push_back(cur);
+            size_t keep = (path_.size() + 1) / 2;
+            for (size_t j = 0; j < keep; ++j)
+                chain.push_back(path_[j]);
+            for (size_t j = keep; j < path_.size(); ++j)
+                addToChain(placed_nbrs_[i], path_[j]);
         }
-        install(v, std::move(chain));
+        install(v);
         return true;
     }
 
@@ -290,7 +559,11 @@ class Embedder
             // never win, so stop paying for it.
             if (token_ && token_->cancelled(index_))
                 return std::nullopt;
+            // Root-cost noise anneals away over the rounds: early
+            // exploration, late convergence.
             noise_ = 0.2 / (1.0 + round_);
+            beginRound();
+            ++work_.rounds;
 
             // Early rounds re-place everything.  Later rounds repair
             // minimally: only the chains sitting on overfull qubits,

@@ -7,11 +7,13 @@
  * from compilation to compilation").
  *
  * Each logical vertex keeps a *vertex model* (chain).  Vertices are
- * (re)placed one at a time: a Dijkstra pass from each embedded
+ * (re)placed one at a time: a shortest-path search from each embedded
  * neighbor's chain, over qubits weighted exponentially in their current
  * overuse, selects a root qubit minimizing the total connection cost;
  * the union of the shortest paths becomes the new chain.  Rounds repeat
- * until no qubit is shared by two chains.
+ * until no qubit is shared by two chains.  The searches stop as soon as
+ * the root is provably final, with the same result as full searches
+ * (DESIGN.md §16).
  */
 
 #ifndef QAC_EMBED_MINORMINER_H

@@ -243,7 +243,8 @@ paramsUsage()
            "  --packed auto|on|off  64-lane multi-spin SA kernel "
            "(perf only; results are\n"
            "                        bit-identical either way; auto = "
-           "packed when reads >= 8)\n";
+           "packed when reads >= 8\n"
+           "                        and a vector engine dispatches)\n";
 }
 
 inline const char *

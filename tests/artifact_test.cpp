@@ -308,6 +308,61 @@ TEST(Qo, FileErrorsAreStructuredAndNonFatal)
     EXPECT_NE(err.find("version mismatch"), std::string::npos) << err;
 }
 
+/** @p mutated re-serialized (frame digest recomputed) must be rejected
+ *  as malformed rather than handed on with an index out of range. */
+void
+expectMalformed(const core::CompileResult &mutated, const char *what)
+{
+    std::string err;
+    EXPECT_FALSE(deserializeQo(serializeQo(mutated), &err)) << what;
+    EXPECT_NE(err.find("malformed"), std::string::npos) << what << err;
+}
+
+TEST(Qo, BadSymbolTableIsMalformed)
+{
+    auto compiled = compileMult(false);
+    const uint32_t vars =
+        static_cast<uint32_t>(compiled.assembled.model.numVars());
+    for (uint32_t bad : {vars, 0xffffffffu}) {
+        auto mutated = compiled;
+        mutated.assembled.sym_to_var.begin()->second = bad;
+        expectMalformed(mutated, "symbol index");
+    }
+    auto names = compiled;
+    names.assembled.var_names.pop_back();
+    expectMalformed(names, "variable names");
+}
+
+TEST(Qo, OutOfRangeChainQubitIsMalformed)
+{
+    auto compiled = compileMult(true);
+    ASSERT_TRUE(compiled.embedded && compiled.embedding &&
+                compiled.hardware);
+    const uint32_t nodes =
+        static_cast<uint32_t>(compiled.hardware->numNodes());
+
+    auto chain = compiled;
+    chain.embedding->chains[0][0] = nodes;
+    expectMalformed(chain, "embedding chain");
+
+    auto embedded_chain = compiled;
+    embedded_chain.embedded->embedding.chains[0][0] = 0xffffffffu;
+    expectMalformed(embedded_chain, "embedded chain");
+
+    auto phys = compiled;
+    phys.embedded->phys_qubits[0] = nodes;
+    expectMalformed(phys, "physical qubit");
+
+    auto dense = compiled;
+    dense.embedded->dense_chains[0][0] = static_cast<uint32_t>(
+        compiled.embedded->phys_qubits.size());
+    expectMalformed(dense, "dense chain");
+
+    auto no_hw = compiled;
+    no_hw.hardware.reset();
+    expectMalformed(no_hw, "embedding without hardware");
+}
+
 // ---------------------------------------------------------------- cache
 
 TEST(Cache, DefaultDirHonorsEnvOverride)

@@ -16,6 +16,8 @@
 
 #include <unistd.h>
 
+#include "qac/artifact/qo.h"
+
 namespace {
 
 /** Run a command, capturing stdout; returns (exit code, output). */
@@ -459,6 +461,61 @@ TEST(Artifact, QmaRunRejectsCorruptObject)
     EXPECT_EQ(code, 2);
     EXPECT_NE(out.find("qma:"), std::string::npos) << out;
     EXPECT_NE(out.find("truncated"), std::string::npos) << out;
+}
+
+TEST(Artifact, QmaRunRejectsOutOfRangeSymbolIndex)
+{
+    // A valid frame is no proof of valid contents: a symbol-table index
+    // past the model's variables, under a recomputed frame digest, must
+    // exit 2 with a message rather than die on a signal.
+    std::string v = writeTemp("cli_mult_sym.v", kMult);
+    std::string qo = std::string(::testing::TempDir()) + "cli_sym.qo";
+    auto [ccode, cout_] = run(std::string(QACC_PATH) + " " + v +
+                              " --top mult --no-cache -o " + qo);
+    ASSERT_EQ(ccode, 0) << cout_;
+    std::string err;
+    auto obj = qac::artifact::readQoFile(qo, &err);
+    ASSERT_TRUE(obj) << err;
+    obj->assembled.sym_to_var.begin()->second = 0x7fffffffu;
+    ASSERT_TRUE(qac::artifact::writeQoFile(qo, *obj, &err)) << err;
+
+    auto [code, out] = run(std::string(QMA_PATH) + " run " + qo +
+                           " --solver exact");
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("malformed"), std::string::npos) << out;
+}
+
+TEST(Qacc, PackedAutoStaysPerReadOnScalarEngine)
+{
+    // Without a vector engine the scalar packed engine is slower than
+    // the per-read kernel, so --packed auto must not choose it; every
+    // mode still samples identically.
+    std::string v = writeTemp("cli_mult_packed.v", kMult);
+    std::string dir = ::testing::TempDir();
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    std::string tails[3], stats[3];
+    const char *modes[3] = {"auto", "off", "on"};
+    for (int i = 0; i < 3; ++i) {
+        std::string json = dir + "cli_packed_" + modes[i] + ".json";
+        auto [code, out] = run(
+            "QAC_NO_AVX2=1 " + std::string(QACC_PATH) + " " + v +
+            " --top mult --no-cache --run --solver sa --reads 64 "
+            "--sweeps 64 --seed 3 --pin \"C[3:0] := 0110\" --packed " +
+            modes[i] + " --stats=" + json);
+        ASSERT_EQ(code, 0) << out;
+        tails[i] = reportTail(out);
+        stats[i] = slurp(json);
+    }
+    const std::string passes = "\"anneal.kernel.packed_passes\"";
+    EXPECT_EQ(stats[0].find(passes), std::string::npos) << stats[0];
+    EXPECT_EQ(stats[1].find(passes), std::string::npos) << stats[1];
+    EXPECT_NE(stats[2].find(passes), std::string::npos) << stats[2];
+    EXPECT_NE(tails[0].find("solution"), std::string::npos) << tails[0];
+    EXPECT_EQ(tails[0], tails[1]);
+    EXPECT_EQ(tails[0], tails[2]);
 }
 
 TEST(Artifact, CacheCountersInStatsJson)

@@ -5,13 +5,19 @@
  * the roof-duality-style variable fixing.
  */
 
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "qac/anneal/exact.h"
 #include "qac/chimera/chimera.h"
+#include "qac/core/compiler.h"
 #include "qac/embed/embed_model.h"
 #include "qac/embed/minorminer.h"
 #include "qac/embed/roof_duality.h"
+#include "qac/stats/registry.h"
+#include "qac/util/hash.h"
 #include "qac/util/logging.h"
 #include "qac/util/rng.h"
 
@@ -369,6 +375,269 @@ TEST(RoofDuality, FixedValuesAppearInSomeGroundState)
         }
         EXPECT_TRUE(any_match) << "trial " << trial;
     }
+}
+
+// ------------------------------------------------------------ golden
+
+// FNV-1a digests of findEmbedding's chains, recorded once and never
+// edited: any change to the RNG stream, the root tie-break or the path
+// splitting moves them.  Each case runs at 1 and 4 threads.
+
+using Edges = std::vector<std::pair<uint32_t, uint32_t>>;
+
+uint64_t
+chainDigest(const std::optional<Embedding> &emb)
+{
+    util::Hasher h;
+    h.u8(emb.has_value());
+    if (emb) {
+        h.u64(emb->chains.size());
+        for (const auto &chain : emb->chains) {
+            h.u64(chain.size());
+            for (uint32_t q : chain)
+                h.u32(q);
+        }
+    }
+    return h.digest();
+}
+
+Edges
+sparseEdges(uint32_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    Edges edges;
+    for (uint32_t v = 1; v < n; ++v)
+        edges.push_back({static_cast<uint32_t>(rng.below(v)), v});
+    for (uint32_t k = 0; k < n; ++k) {
+        uint32_t a = static_cast<uint32_t>(rng.below(n));
+        uint32_t b = static_cast<uint32_t>(rng.below(n));
+        if (a != b)
+            edges.push_back({std::min(a, b), std::max(a, b)});
+    }
+    return edges;
+}
+
+/** Logical coupling graph of a Verilog design, as compile() embeds it. */
+std::pair<Edges, uint32_t>
+designEdges(const char *src, const char *top)
+{
+    core::CompileOptions co;
+    co.verilogOpts().top = top;
+    auto res = core::compile(src, co);
+    Edges edges;
+    for (const auto &t : res.assembled.model.sortedQuadraticTerms())
+        edges.push_back({t.i, t.j});
+    return {edges, res.assembled.model.numVars()};
+}
+
+const char *kMuxAddSub = R"(
+module mux_add_sub (A, B, sel, Y);
+  input [2:0] A, B;
+  input sel;
+  output [3:0] Y;
+  assign Y = sel ? (A - B) : (A + B);
+endmodule
+)";
+
+const char *kAustralia = R"(
+module australia (NSW, QLD, SA, VIC, WA, NT, ACT, valid);
+  input [1:0] NSW, QLD, SA, VIC, WA, NT, ACT;
+  output valid;
+  assign valid = WA != NT && WA != SA && NT != SA && NT != QLD &&
+                 SA != QLD && SA != NSW && SA != VIC && QLD != NSW &&
+                 NSW != VIC && NSW != ACT;
+endmodule
+)";
+
+/** C_m with one column of unit cells switched off: two components. */
+HardwareGraph
+splitChimera(uint32_t m, uint32_t col)
+{
+    HardwareGraph hw = chimera::chimeraGraph(m);
+    for (uint32_t q = 0; q < hw.numNodes(); ++q)
+        if (chimera::chimeraCoord(m, q).col == col)
+            hw.deactivate(q);
+    return hw;
+}
+
+size_t
+activeComponents(const HardwareGraph &hw)
+{
+    std::vector<bool> seen(hw.numNodes(), false);
+    size_t comps = 0;
+    for (uint32_t s = 0; s < hw.numNodes(); ++s) {
+        if (!hw.isActive(s) || seen[s])
+            continue;
+        ++comps;
+        std::vector<uint32_t> stack{s};
+        seen[s] = true;
+        while (!stack.empty()) {
+            uint32_t u = stack.back();
+            stack.pop_back();
+            for (uint32_t v : hw.neighbors(u))
+                if (hw.isActive(v) && !seen[v]) {
+                    seen[v] = true;
+                    stack.push_back(v);
+                }
+        }
+    }
+    return comps;
+}
+
+struct GoldenCase
+{
+    const char *name;
+    Edges edges;
+    uint32_t num_logical;
+    HardwareGraph hw;
+    EmbedParams params;
+    uint64_t digest;
+};
+
+EmbedParams
+golden(uint64_t seed, uint32_t tries, double base = 0.0)
+{
+    EmbedParams p;
+    p.seed = seed;
+    p.tries = tries;
+    p.overuse_base = base;
+    return p;
+}
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    const HardwareGraph c4 = chimera::chimeraGraph(4);
+    const HardwareGraph c8 = chimera::chimeraGraph(8);
+    const HardwareGraph c16 = chimera::chimeraGraph(16);
+    HardwareGraph c16_drop = c16;
+    chimera::applyDropout(c16_drop, 0.05, 7);
+    HardwareGraph c8_split = splitChimera(8, 3);
+    chimera::applyDropout(c8_split, 0.05, 5);
+    auto [mux, mux_n] = designEdges(kMuxAddSub, "mux_add_sub");
+    auto [map, map_n] = designEdges(kAustralia, "australia");
+    auto sparse_a = sparseEdges(40, 71);
+    auto sparse_b = sparseEdges(60, 72);
+
+    return {
+        {"c4_k3", cliqueEdges(3), 3, c4, golden(1, 8),
+         0x0acacb4019ca8cdeULL},
+        {"c4_k4_t1", cliqueEdges(4), 4, c4, golden(2, 1),
+         0xf03db411872e6f0cULL},
+        {"c4_k5", cliqueEdges(5), 5, c4, golden(3, 8),
+         0xac8c80fdced7b2dbULL},
+        {"c4_k6_t1", cliqueEdges(6), 6, c4, golden(4, 1),
+         0x378d132f89025594ULL},
+        {"c8_k6", cliqueEdges(6), 6, c8, golden(5, 8),
+         0x37404c90daeb764aULL},
+        {"c8_k7_t1", cliqueEdges(7), 7, c8, golden(6, 1),
+         0x5ea1a540285d76d9ULL},
+        {"c8_k8", cliqueEdges(8), 8, c8, golden(7, 8),
+         0xd4e51105b7a01748ULL},
+        {"c16_k3_t1", cliqueEdges(3), 3, c16, golden(8, 1),
+         0x25fad814ed0d7576ULL},
+        {"c16_k8", cliqueEdges(8), 8, c16, golden(9, 8),
+         0xcf04224f27f8a6f8ULL},
+        {"c8_sparse40", sparse_a, 40, c8, golden(100, 8),
+         0x52028c74dab1c302ULL},
+        {"c8_sparse60_t1", sparse_b, 60, c8, golden(101, 1),
+         0xa63a488e3c87eb96ULL},
+        {"c16_sparse60", sparse_b, 60, c16, golden(102, 8),
+         0x2150d9a563cacb08ULL},
+        {"c16_mux_add_sub_s1", mux, mux_n, c16, golden(1, 8),
+         0xd372dcbd78cdb5caULL},
+        {"c16_mux_add_sub_s3_t1", mux, mux_n, c16, golden(3, 1),
+         0xb9f8bda4d9bc1c6aULL},
+        {"c16_map_coloring_s1", map, map_n, c16, golden(1, 8),
+         0x005af0a51d64f4f7ULL},
+        {"c16_map_coloring_s2_t1", map, map_n, c16, golden(2, 1),
+         0xaf63bd4c8601b7dfULL},  // no embedding
+        {"c8_map_coloring", map, map_n, c8, golden(4, 8),
+         0xaf63bd4c8601b7dfULL},  // no embedding
+        {"c16_dropout_mux", mux, mux_n, c16_drop, golden(11, 8),
+         0x8884aa67bff6bde2ULL},
+        {"c16_dropout_k7_t1", cliqueEdges(7), 7, c16_drop, golden(12, 1),
+         0x333ed0a5c88788d5ULL},
+        {"c8_split_k5", cliqueEdges(5), 5, c8_split, golden(13, 8),
+         0xedc1fa947b601e23ULL},
+        {"c8_split_sparse40", sparse_a, 40, c8_split, golden(14, 8),
+         0xaf63bd4c8601b7dfULL},  // no embedding
+        {"c8_base_half_sparse40", sparse_a, 40, c8, golden(15, 8, 0.5),
+         0x2596010baca9afccULL},
+        {"c4_base_half_k6_t1", cliqueEdges(6), 6, c4, golden(16, 1, 0.5),
+         0x12e6b0612f4a1270ULL},
+        {"c4_base_huge_k6", cliqueEdges(6), 6, c4, golden(17, 8, 1e300),
+         0x02b74d1ae6596bbdULL},
+        {"c8_base_huge_sparse40_t1", sparse_a, 40, c8, golden(18, 1, 1e300),
+         0xa5e0b42a16348958ULL},
+        {"c4_base_huge_k8", cliqueEdges(8), 8, c4, golden(19, 8, 1e300),
+         0xd758105aa6c8d9acULL},
+    };
+}
+
+TEST(EmbedGolden, SplitHardwareHasSeveralComponents)
+{
+    HardwareGraph hw = splitChimera(8, 3);
+    chimera::applyDropout(hw, 0.05, 5);
+    EXPECT_GE(activeComponents(hw), 2u);
+}
+
+TEST(EmbedGolden, ChainsMatchRecordedDigests)
+{
+    for (auto &c : goldenCases()) {
+        for (uint32_t threads : {1u, 4u}) {
+            c.params.threads = threads;
+            auto emb = findEmbedding(c.edges, c.num_logical, c.hw,
+                                     c.params);
+            EXPECT_EQ(chainDigest(emb), c.digest)
+                << c.name << " threads=" << threads << " actual 0x"
+                << util::hexDigest(chainDigest(emb));
+        }
+    }
+}
+
+/** Work counters of one golden case at one thread. */
+std::map<std::string, uint64_t>
+goldenWork(const char *name)
+{
+    auto &reg = stats::Registry::global();
+    reg.reset();
+    bool was = reg.setEnabled(true);
+    std::map<std::string, uint64_t> work;
+    for (auto &c : goldenCases()) {
+        if (std::string(c.name) != name)
+            continue;
+        c.params.threads = 1;
+        auto emb = findEmbedding(c.edges, c.num_logical, c.hw, c.params);
+        EXPECT_EQ(chainDigest(emb), c.digest) << name;
+        for (const char *m : {"tries", "rounds", "placements", "searches",
+                              "settled", "unbounded"})
+            work[m] =
+                reg.counter(std::string("embed.minorminer.") + m).value();
+        work["active"] = c.hw.numActiveNodes();
+    }
+    reg.setEnabled(was);
+    reg.reset();
+    return work;
+}
+
+TEST(EmbedGolden, StopRuleSettlesFewerQubitsThanFullSearches)
+{
+    auto work = goldenWork("c16_mux_add_sub_s1");
+    EXPECT_GT(work["rounds"], 0u);
+    EXPECT_GE(work["placements"], work["rounds"]);
+    EXPECT_GT(work["searches"], 0u);
+    EXPECT_EQ(work["unbounded"], 0u);
+    EXPECT_LT(work["settled"], work["searches"] * work["active"] / 2);
+}
+
+TEST(EmbedGolden, OverflowedWeightsSearchToExhaustion)
+{
+    // base 1e300: a doubly used qubit weighs +inf, so some placements
+    // must run their searches to exhaustion.
+    auto work = goldenWork("c8_base_huge_sparse40_t1");
+    EXPECT_GT(work["unbounded"], 0u);
+    EXPECT_LE(work["unbounded"], work["placements"]);
 }
 
 } // namespace
