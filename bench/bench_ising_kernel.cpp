@@ -19,6 +19,11 @@
  * is bitwise-equal to the scalar path by contract), so the speedup
  * gauge is a pure time ratio.
  *
+ * The "packed_chainflip" row does the same for the chain-flip
+ * annealer on a C16-embedded model: 64 per-read chainflip reads
+ * against one 64-lane pass of the packed chain pass plus the floor-0
+ * single-qubit sweep.
+ *
  * BENCH_ising_kernel.json carries the machine-readable form:
  * bench.kernel.<sampler>.{baseline,kernel}_flips_per_sec and
  * .speedup_x100 gauges.
@@ -30,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "qac/anneal/descent.h"
@@ -37,6 +43,7 @@
 #include "qac/anneal/packed_sweep.h"
 #include "qac/anneal/simulated.h"
 #include "qac/chimera/chimera.h"
+#include "qac/core/compiler.h"
 #include "qac/ising/compiled.h"
 #include "qac/ising/model.h"
 #include "qac/ising/packed.h"
@@ -257,7 +264,7 @@ packedKernel(const ising::CompiledModel &kernel,
              const std::vector<double> &betas, uint32_t reads)
 {
     const size_t n = kernel.numVars();
-    const anneal::PackedSweepFn sweep = anneal::selectPackedSweep();
+    const anneal::PackedSweepFn sweep = anneal::selectPackedEngine().sweep;
     Run r;
     const double t0 = now();
     for (uint32_t base = 0; base < reads;
@@ -277,7 +284,9 @@ packedKernel(const ising::CompiledModel &kernel,
         uint64_t live = state.activeMask();
         for (double beta : betas) {
             const double thresh = kMaxExpArg / beta;
-            const uint64_t drew = sweep(state, rngs, beta, thresh);
+            const uint64_t drew =
+                sweep(state, rngs, beta,
+                      -std::numeric_limits<double>::infinity(), thresh);
             r.proposals +=
                 uint64_t(__builtin_popcountll(live)) * n;
             live &= drew;
@@ -511,6 +520,76 @@ chainflipKernel(const ising::CompiledModel &kernel,
     return r;
 }
 
+/**
+ * The "packed_chainflip" row's kernel side: the same reads through the
+ * 64-lane chain pass + floor-0 single-qubit sweep (DESIGN.md §13).
+ * Bitwise the dynamics of chainflipKernel per lane, so the two sides
+ * execute the same aggregate replica-sweeps and the speedup is a pure
+ * time ratio.
+ */
+Run
+packedChainflipKernel(const ising::CompiledModel &kernel,
+                      const anneal::FlatChains &chains,
+                      const std::vector<double> &betas, uint32_t reads)
+{
+    const size_t n = kernel.numVars();
+    const anneal::PackedEngine &engine = anneal::selectPackedEngine();
+    const double no_thresh = std::numeric_limits<double>::infinity();
+    Run r;
+    const double t0 = now();
+    for (uint32_t base = 0; base < reads;
+         base += ising::PackedState::kLanes) {
+        const uint32_t nlanes = std::min<uint32_t>(
+            ising::PackedState::kLanes, reads - base);
+        ising::PackedState state(kernel);
+        anneal::LaneRngs rngs;
+        ising::SpinVector spins(n);
+        for (uint32_t l = 0; l < nlanes; ++l) {
+            Rng rng = Rng::streamAt(kSeed, base + l);
+            for (auto &s : spins)
+                s = rng.spin();
+            state.resetLane(l, spins);
+            rngs.set(l, rng);
+        }
+        for (double beta : betas) {
+            engine.chain_pass(state, rngs, chains, beta);
+            engine.sweep(state, rngs, beta, 0.0, no_thresh);
+        }
+        for (uint32_t l = 0; l < nlanes; ++l)
+            r.checksum += state.laneEnergy(l);
+    }
+    r.seconds = now() - t0;
+    r.proposals =
+        uint64_t{reads} * betas.size() * (chains.totalMembers() + n);
+    return r;
+}
+
+/** Figure 5's map coloring, embedded in C16 under embedder seed 1 —
+ *  the heaviest chain-embedded model the sampling benchmark anneals. */
+embed::EmbeddedModel
+embeddedMapColoring()
+{
+    core::CompileOptions co;
+    co.verilogOpts().top = "australia";
+    co.target = core::Target::Chimera;
+    co.chimera_size = 16;
+    co.embed.seed = 1;
+    co.cache.enabled = false;
+    return *core::compile(
+                "module australia (NSW, QLD, SA, VIC, WA, NT, ACT, "
+                "valid);\n"
+                "  input [1:0] NSW, QLD, SA, VIC, WA, NT, ACT;\n"
+                "  output valid;\n"
+                "  assign valid = WA != NT && WA != SA && NT != SA && "
+                "NT != QLD &&\n"
+                "    SA != QLD && SA != NSW && SA != VIC && QLD != NSW "
+                "&&\n"
+                "    NSW != VIC && NSW != ACT;\n"
+                "endmodule\n",
+                co)
+                .embedded;
+}
+
 // ---------------------------------------------------------- descent
 
 Run
@@ -694,7 +773,7 @@ reportRow(const char *name, const Run &base, const Run &kern)
             ? (static_cast<double>(kern.proposals) / kern.seconds) /
                 (static_cast<double>(base.proposals) / base.seconds)
             : 0.0;
-    std::printf("%-10s %14.2f %14.2f %9.2fx\n", name, mps(base),
+    std::printf("%-16s %14.2f %14.2f %9.2fx\n", name, mps(base),
                 mps(kern), speedup);
     std::string prefix = std::string("bench.kernel.") + name;
     stats::gauge(prefix + ".baseline_flips_per_sec",
@@ -717,7 +796,7 @@ printKernelTable()
     std::printf("--- CSR Ising kernel: proposals/sec, C%u Chimera "
                 "(%zu vars, %zu couplers) ---\n",
                 m, model.numVars(), kernel.numEdges());
-    std::printf("%-10s %14s %14s %9s\n", "sampler", "base Mprop/s",
+    std::printf("%-16s %14s %14s %9s\n", "sampler", "base Mprop/s",
                 "kernel Mprop/s", "speedup");
 
     auto [b0, b1] = anneal::SimulatedAnnealer::defaultBetaRange(kernel);
@@ -738,7 +817,7 @@ printKernelTable()
         [&] { return packedKernel(kernel, sa_betas, pk_reads); });
     std::printf("           (packed row: 64-lane multi-spin vs scalar "
                 "per-read SA, %s engine)\n",
-                anneal::packedSweepEngineName());
+                anneal::selectPackedEngine().name);
 
     reportRowRepeated(
         "sqa",
@@ -765,6 +844,30 @@ printKernelTable()
             return chainflipKernel(kernel, chains, internal,
                                    cf_betas, cfg.cf_reads);
         });
+
+    // 64 reads = exactly one packed pass on a real chain-embedded
+    // model; baseline = the per-read chainflip kernel loop.
+    const embed::EmbeddedModel em = embeddedMapColoring();
+    const ising::CompiledModel em_kernel(em.physical);
+    auto [eb0, eb1] =
+        anneal::SimulatedAnnealer::defaultBetaRange(em_kernel);
+    const std::vector<double> em_betas =
+        betaSchedule(eb0, eb1, cfg.cf_sweeps);
+    const auto em_internal = internalEdges(em.physical, em.dense_chains);
+    const anneal::FlatChains em_chains(em_kernel, em.dense_chains);
+    reportRowRepeated(
+        "packed_chainflip",
+        [&] {
+            return chainflipKernel(em_kernel, em.dense_chains,
+                                   em_internal, em_betas, pk_reads);
+        },
+        [&] {
+            return packedChainflipKernel(em_kernel, em_chains, em_betas,
+                                         pk_reads);
+        });
+    std::printf("           (packed_chainflip row: C16 map coloring, "
+                "%zu qubits, %u chains)\n",
+                em_kernel.numVars(), em_chains.size());
 
     reportRowRepeated(
         "descent",

@@ -11,16 +11,20 @@
 # simulator's fanout/pending index arrays and the VCD writer are more
 # of the same (DESIGN.md §15).  The embed-labelled suite covers the
 # minor embedder's per-try search arena: epoch-stamped labels, CSR
-# adjacency and reused heaps indexed by qubit id (DESIGN.md §16).
+# adjacency and reused heaps indexed by qubit id (DESIGN.md §16).  The
+# kernel-labelled suites run the packed chain pass over C16-embedded
+# models on every engine rung (its CSR chain arrays index the lane
+# planes).  The build is bounded to one job per CPU: an unbounded -j
+# on the whole tree can exhaust a small host's memory.
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD=build-asan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
-cmake --build "$BUILD" -j --target stats_test cli_test packed_test \
-    dimacs_test sim_test embed_test qacc qma qsat
+cmake --build "$BUILD" -j "$(nproc)" --target stats_test cli_test \
+    packed_test kernel_test dimacs_test sim_test embed_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|sat|sim|embed' --output-on-failure
+ctest -L 'stats|packed|kernel|sat|sim|embed' --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "qac/anneal/anneal_stats.h"
-#include "qac/anneal/descent.h"
 #include "qac/anneal/metropolis.h"
+#include "qac/anneal/packed_reads.h"
 #include "qac/anneal/parallel_reads.h"
 #include "qac/anneal/simulated.h"
 #include "qac/ising/compiled.h"
 #include "qac/stats/trace.h"
 #include "qac/telemetry/telemetry.h"
-#include "qac/util/logging.h"
 #include "qac/util/rng.h"
 
 namespace qac::anneal {
@@ -38,31 +38,20 @@ ChainFlipAnnealer::sample(const ising::IsingModel &model) const
     if (params_.beta_final > 0)
         b1 = params_.beta_final;
 
-    // Precompute each chain's internal couplings; flipping the whole
-    // chain leaves them unchanged, so the summed single-flip deltas
-    // must be corrected by +4 J sigma_i sigma_j per internal edge.
-    struct InternalEdge
-    {
-        uint32_t i, j;
-        double w;
-    };
-    const auto &row = kernel.rowOffsets();
-    const auto &nbr = kernel.neighbors();
-    const auto &wgt = kernel.weights();
-    std::vector<std::vector<InternalEdge>> internal(chains_.size());
-    for (size_t c = 0; c < chains_.size(); ++c) {
-        std::vector<bool> member(n, false);
-        for (uint32_t q : chains_[c])
-            member[q] = true;
-        for (uint32_t q : chains_[c])
-            for (uint32_t k = row[q]; k < row[q + 1]; ++k)
-                if (member[nbr[k]] && q < nbr[k])
-                    internal[c].push_back({q, nbr[k], wgt[k]});
-    }
+    // Flattened once per call; validates the chain ids (FatalError on
+    // an out-of-range or repeated qubit).  Flipping a whole chain
+    // leaves its internal couplings unchanged, so the summed
+    // single-flip deltas are corrected by +4 J s_i s_j per internal
+    // edge.
+    const FlatChains chains(kernel, chains_);
 
     const uint32_t sweeps = std::max<uint32_t>(1, params_.sweeps);
-    double ratio =
+    const double ratio =
         (sweeps > 1) ? std::pow(b1 / b0, 1.0 / (sweeps - 1)) : 1.0;
+    std::vector<double> betas(sweeps);
+    double b = b0;
+    for (uint32_t s = 0; s < sweeps; ++s, b *= ratio)
+        betas[s] = b;
 
     std::atomic<uint64_t> flips{0};
     telemetry::RunTrace *trun =
@@ -72,64 +61,84 @@ ChainFlipAnnealer::sample(const ising::IsingModel &model) const
     // the flips() counter), so proposals are counted in member flips —
     // chain members plus the single-qubit pass — keeping the derived
     // acceptance rate in [0, 1].
-    uint64_t proposals_per_sweep = n;
-    for (const auto &c : chains_)
-        proposals_per_sweep += c.size();
+    const detail::ReadEpilogue epi{"anneal.chainflip.energy",
+                                   params_.greedy_polish,
+                                   n + chains.totalMembers()};
 
-    out = detail::sampleReads(
-        params_.num_reads, params_.threads,
-        [&](uint32_t read, SampleSet &part) {
-        Rng rng = Rng::streamAt(params_.seed, read);
-        ising::SpinVector spins(n);
-        for (auto &s : spins)
-            s = rng.spin();
-        ising::LocalFieldState state(kernel);
-        state.reset(spins);
-        telemetry::ReadRecorder *rec =
-            trun ? trun->recorder(read) : nullptr;
-
-        double beta = b0;
-        for (uint32_t sw = 0; sw < sweeps; ++sw, beta *= ratio) {
-            // Composite chain moves: the acceptance delta sums the
-            // members' O(1) incremental deltas (frozen state) plus the
-            // internal-edge correction; the accepted flip applies the
-            // member flips sequentially, which lands on exactly that
-            // composite delta.
-            for (size_t c = 0; c < chains_.size(); ++c) {
-                double delta = 0.0;
-                for (uint32_t q : chains_[c])
-                    delta += state.flipDelta(q);
-                const auto &sp = state.spins();
-                for (const auto &e : internal[c])
-                    delta += 4.0 * e.w * sp[e.i] * sp[e.j];
-                if (delta <= 0.0 ||
-                    metropolisAccept(rng, beta * delta)) {
-                    for (uint32_t q : chains_[c])
-                        state.flip(q);
+    if (detail::usePacked(params_)) {
+        // 64 reads per pass (DESIGN.md §13): per sweep, the chain pass
+        // and then the single-qubit pass with the draw floor at 0 and
+        // no threshold — `delta <= 0 || metropolisAccept(...)` per
+        // lane, exactly the per-read loop below.
+        const PackedEngine &engine = selectPackedEngine();
+        const double no_thresh = std::numeric_limits<double>::infinity();
+        out = detail::samplePackedReads(
+            params_, kernel, sweeps, trun, epi, flips,
+            [&](detail::PackedPass &pass) {
+                const uint64_t lanes = pass.state.activeMask();
+                for (uint32_t sw = 0; sw < sweeps; ++sw) {
+                    engine.chain_pass(pass.state, pass.rngs, chains,
+                                      betas[sw]);
+                    engine.sweep(pass.state, pass.rngs, betas[sw], 0.0,
+                                 no_thresh);
+                    pass.record(sw, betas[sw], lanes);
                 }
-            }
-            // Single-qubit relaxation.
-            for (uint32_t i = 0; i < n; ++i) {
-                double delta = state.flipDelta(i);
-                if (delta <= 0.0 ||
-                    metropolisAccept(rng, beta * delta))
-                    state.flip(i);
-            }
-            if (rec && rec->want(sw))
-                rec->record(sw, state.energy(), beta, state.flips(),
-                            uint64_t{sw + 1} * proposals_per_sweep);
-        }
-        if (params_.greedy_polish)
-            greedyDescent(state);
-        // One exact end-of-read evaluation.
-        double e = kernel.energy(state.spins());
-        stats::record("anneal.chainflip.energy", e);
-        flips.fetch_add(state.flips(), std::memory_order_relaxed);
-        if (rec)
-            rec->finish(e, sweeps, state.flips(),
-                        uint64_t{sweeps} * proposals_per_sweep);
-        part.add(state.spins(), e);
-    });
+            });
+    } else {
+        out = detail::sampleReads(
+            params_.num_reads, params_.threads,
+            [&](uint32_t read, SampleSet &part) {
+                Rng rng = Rng::streamAt(params_.seed, read);
+                ising::SpinVector spins(n);
+                for (auto &s : spins)
+                    s = rng.spin();
+                ising::LocalFieldState state(kernel);
+                state.reset(spins);
+                telemetry::ReadRecorder *rec =
+                    trun ? trun->recorder(read) : nullptr;
+
+                for (uint32_t sw = 0; sw < sweeps; ++sw) {
+                    const double beta = betas[sw];
+                    // Composite chain moves: the acceptance delta sums
+                    // the members' O(1) incremental deltas (frozen
+                    // state) plus the internal-edge correction; the
+                    // accepted flip applies the member flips
+                    // sequentially, which lands on exactly that
+                    // composite delta.
+                    const auto &sp = state.spins();
+                    for (uint32_t c = 0; c < chains.size(); ++c) {
+                        const uint32_t m0 = chains.member_off[c];
+                        const uint32_t m1 = chains.member_off[c + 1];
+                        double delta = 0.0;
+                        for (uint32_t k = m0; k < m1; ++k)
+                            delta += state.flipDelta(chains.members[k]);
+                        for (uint32_t e = chains.edge_off[c];
+                             e < chains.edge_off[c + 1]; ++e)
+                            delta += chains.edge_w4[e] *
+                                     sp[chains.edge_i[e]] *
+                                     sp[chains.edge_j[e]];
+                        if (delta <= 0.0 ||
+                            metropolisAccept(rng, beta * delta)) {
+                            for (uint32_t k = m0; k < m1; ++k)
+                                state.flip(chains.members[k]);
+                        }
+                    }
+                    // Single-qubit relaxation.
+                    for (uint32_t i = 0; i < n; ++i) {
+                        const double delta = state.flipDelta(i);
+                        if (delta <= 0.0 ||
+                            metropolisAccept(rng, beta * delta))
+                            state.flip(i);
+                    }
+                    if (rec && rec->want(sw))
+                        rec->record(sw, state.energy(), beta,
+                                    state.flips(),
+                                    uint64_t{sw + 1} *
+                                        epi.proposals_per_sweep);
+                }
+                detail::finishRead(epi, state, rec, sweeps, flips, part);
+            });
+    }
     const uint64_t elapsed = stats::Trace::nowNs() - t0;
     detail::recordSampleStats("chainflip", out,
                               uint64_t{sweeps} * params_.num_reads,

@@ -9,7 +9,9 @@
  * tunneling; Section 2).  This sampler alternates full-chain composite
  * moves with single-qubit moves, both accepted on the *physical*
  * model's exact energy change, so chain-broken states remain reachable
- * and correctly weighted.
+ * and correctly weighted.  Reads run 64 to a packed pass when
+ * CommonParams::packed selects it (DESIGN.md §13), with results
+ * bit-identical to the per-read loop.
  */
 
 #ifndef QAC_ANNEAL_CHAINFLIP_H
@@ -36,7 +38,9 @@ class ChainFlipAnnealer : public Sampler
 
     /**
      * @param chains  groups of variable indices flipped together
-     *                (typically EmbeddedModel::dense_chains)
+     *                (typically EmbeddedModel::dense_chains); sample()
+     *                throws FatalError if a member is not a variable
+     *                of the model or a qubit is listed twice
      */
     ChainFlipAnnealer(Params params,
                       std::vector<std::vector<uint32_t>> chains)

@@ -24,6 +24,7 @@
 #include <limits>
 
 #include "qac/anneal/metropolis.h"
+#include "qac/anneal/packed_chain_pass.h"
 
 namespace qac::anneal {
 
@@ -162,90 +163,83 @@ drawGroup4(LaneRngs &rngs, int g, int cand_nib, const double *di,
     return accept_nib;
 }
 
-} // namespace
-
-bool
-packedSweepAvx2Compiled()
+/**
+ * Draw + decide for the lanes of @p draw, every one of which draws:
+ * dense masks step 4-lane groups in lockstep, sparse ones iterate set
+ * bits scalar-wise.  Either path is bit-identical per lane.
+ */
+inline uint64_t
+drawLanes(LaneRngs &rngs, const double *d, uint64_t draw, double beta)
 {
-    return true;
+    uint64_t accept = 0;
+    if (__builtin_popcountll(draw) >= kVectorDrawCut) {
+        const __m256d beta_v = _mm256_set1_pd(beta);
+        for (int g = 0; g < kGroups; ++g) {
+            const int nib = static_cast<int>((draw >> (4 * g)) & 0xf);
+            if (nib == 0)
+                continue;
+            accept |= static_cast<uint64_t>(
+                          drawGroup4(rngs, g, nib, d, beta_v))
+                      << (4 * g);
+        }
+    } else {
+        for (uint64_t m = draw; m != 0; m &= m - 1) {
+            const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+            const double u = rngs.uniform(l);
+            accept |= uint64_t{metropolisAcceptU(u, beta * d[l])} << l;
+        }
+    }
+    return accept;
 }
 
-uint64_t
-packedSweepAvx2(ising::PackedState &state, LaneRngs &rngs, double beta,
-                double thresh)
+/** The engine's draw + decide and batched flip apply, used by its
+ *  sweep and by the shared chain pass. */
+struct Avx2Ops
 {
-    const auto &model = state.model();
-    const uint32_t n = static_cast<uint32_t>(model.numVars());
-    const uint32_t *nbr = model.neighbors().data();
-    const double *w = model.weights().data();
-    const uint32_t *row = model.rowOffsets().data();
-    double *min_delta = state.minDelta();
-    double *delta = state.deltaPlane();
-    uint64_t *bits = state.spinBits();
-    uint64_t *flip_ctr = state.laneFlipCounters();
-
-    const __m256d thresh_v = _mm256_set1_pd(thresh);
-    const __m256d beta_v = _mm256_set1_pd(beta);
-    const __m256d sign_v = _mm256_set1_pd(-0.0);
-    const double inf = std::numeric_limits<double>::infinity();
-
-    uint64_t drew = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-        if (min_delta[i] >= thresh)
-            continue;
-        double *di = delta + size_t{i} * kLanes;
-
-        // ---- candidate scan + exact min refresh
-        uint64_t mask = 0;
-        __m256d mn_v = _mm256_set1_pd(inf);
-        for (int g = 0; g < kGroups; ++g) {
-            const __m256d d = _mm256_loadu_pd(di + 4 * g);
-            mask |= static_cast<uint64_t>(_mm256_movemask_pd(
-                        _mm256_cmp_pd(d, thresh_v, _CMP_LT_OQ)))
-                    << (4 * g);
-            mn_v = _mm256_min_pd(mn_v, d);
+    /**
+     * The floor rule over the lanes of @p cand: d <= lo accepts with
+     * no draw, the other lanes draw (@p drew receives them).  lo = -inf
+     * is no floor at all: every candidate draws, as in SA's loop.
+     */
+    static uint64_t
+    decide(LaneRngs &rngs, const double *d, uint64_t cand, double lo,
+           double beta, uint64_t &drew)
+    {
+        uint64_t floor = 0;
+        if (lo > -std::numeric_limits<double>::infinity()) {
+            const __m256d lo_v = _mm256_set1_pd(lo);
+            for (int g = 0; g < kGroups; ++g)
+                floor |= static_cast<uint64_t>(_mm256_movemask_pd(
+                             _mm256_cmp_pd(_mm256_loadu_pd(d + 4 * g),
+                                           lo_v, _CMP_LE_OQ)))
+                         << (4 * g);
+            floor &= cand;
         }
-        {
-            const __m128d lo = _mm256_castpd256_pd128(mn_v);
-            const __m128d hi = _mm256_extractf128_pd(mn_v, 1);
-            const __m128d m2 = _mm_min_pd(lo, hi);
-            const __m128d m1 =
-                _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
-            min_delta[i] = _mm_cvtsd_f64(m1);
-        }
-        if (mask == 0)
-            continue;
-        drew |= mask;
+        drew = cand & ~floor;
+        return floor | drawLanes(rngs, d, drew, beta);
+    }
 
-        // ---- per-lane draws → accept mask
-        uint64_t accept = 0;
-        if (__builtin_popcountll(mask) >= kVectorDrawCut) {
-            for (int g = 0; g < kGroups; ++g) {
-                const int nib =
-                    static_cast<int>((mask >> (4 * g)) & 0xf);
-                if (nib == 0)
-                    continue;
-                accept |= static_cast<uint64_t>(
-                              drawGroup4(rngs, g, nib, di, beta_v))
-                          << (4 * g);
-            }
-        } else {
-            for (uint64_t m = mask; m != 0; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(__builtin_ctzll(m));
-                const double u = rngs.uniform(l);
-                accept |=
-                    uint64_t{metropolisAcceptU(u, beta * di[l])} << l;
-            }
-        }
-        if (accept == 0)
-            continue;
-
-        // ---- batched flip application
+    /** Batched flip of variable @p i in the lanes of @p accept —
+     *  PackedState::applyFlips bit for bit, with blended vector updates. */
+    static void
+    apply(ising::PackedState &state, uint32_t i, uint64_t accept)
+    {
         if (__builtin_popcountll(accept) < kVectorApplyCut) {
             state.applyFlips(i, accept);
-            continue;
+            return;
         }
+        const auto &model = state.model();
+        const uint32_t *nbr = model.neighbors().data();
+        const double *w = model.weights().data();
+        const uint32_t *row = model.rowOffsets().data();
+        double *min_delta = state.minDelta();
+        double *delta = state.deltaPlane();
+        uint64_t *bits = state.spinBits();
+        uint64_t *flip_ctr = state.laneFlipCounters();
+        const __m256d sign_v = _mm256_set1_pd(-0.0);
+        const double inf = std::numeric_limits<double>::infinity();
+        double *di = delta + size_t{i} * kLanes;
+
         for (uint64_t m = accept; m != 0; m &= m - 1)
             ++flip_ctr[__builtin_ctzll(m)];
         // Active groups and their accept lane masks, once per flip set.
@@ -266,24 +260,22 @@ packedSweepAvx2(ising::PackedState &state, LaneRngs &rngs, double beta,
             const __m256d neg = _mm256_xor_pd(old, sign_v);
             _mm256_storeu_pd(
                 di + 4 * g,
-                _mm256_blendv_pd(old, neg,
-                                 _mm256_castsi256_pd(amask[a])));
+                _mm256_blendv_pd(old, neg, _mm256_castsi256_pd(amask[a])));
         }
         const uint64_t bits_new = (bits[i] ^= accept);
         const uint32_t end = row[i + 1];
         for (uint32_t k = row[i]; k < end; ++k) {
             const uint32_t j = nbr[k];
-            // Same-spin lanes gain -4w, differing lanes +4w — the
-            // exact values LocalFieldState::flip adds (see
-            // PackedState::applyFlips); the sign select is an XOR of
-            // the sign bit, exact for signed zeros too.
+            // Same-spin lanes gain -4w, differing lanes +4w — the exact
+            // values LocalFieldState::flip adds (see
+            // PackedState::applyFlips); the sign select is an XOR of the
+            // sign bit, exact for signed zeros too.
             const __m256d w4_v = _mm256_set1_pd(-4.0 * w[k]);
             const uint64_t differ = bits_new ^ bits[j];
             double *dj = delta + size_t{j} * kLanes;
             for (int a = 0; a < ngroups; ++a) {
                 const int g = groups[a];
-                const __m256d dm = _mm256_castsi256_pd(
-                    laneMask4(differ, g));
+                const __m256d dm = _mm256_castsi256_pd(laneMask4(differ, g));
                 const __m256d addend =
                     _mm256_xor_pd(w4_v, _mm256_and_pd(dm, sign_v));
                 const __m256d old = _mm256_loadu_pd(dj + 4 * g);
@@ -297,7 +289,70 @@ packedSweepAvx2(ising::PackedState &state, LaneRngs &rngs, double beta,
         }
         min_delta[i] = -inf;
     }
+};
+
+} // namespace
+
+bool
+packedSweepAvx2Compiled()
+{
+    return true;
+}
+
+uint64_t
+packedSweepAvx2(ising::PackedState &state, LaneRngs &rngs, double beta,
+                double lo, double thresh)
+{
+    const uint32_t n = static_cast<uint32_t>(state.model().numVars());
+    double *min_delta = state.minDelta();
+    double *delta = state.deltaPlane();
+
+    const __m256d thresh_v = _mm256_set1_pd(thresh);
+    const double inf = std::numeric_limits<double>::infinity();
+
+    uint64_t drew = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+        if (min_delta[i] >= thresh)
+            continue;
+        double *di = delta + size_t{i} * kLanes;
+
+        // ---- candidate scan + exact min refresh
+        uint64_t cand = 0;
+        __m256d mn_v = _mm256_set1_pd(inf);
+        for (int g = 0; g < kGroups; ++g) {
+            const __m256d d = _mm256_loadu_pd(di + 4 * g);
+            cand |= static_cast<uint64_t>(_mm256_movemask_pd(
+                        _mm256_cmp_pd(d, thresh_v, _CMP_LT_OQ)))
+                    << (4 * g);
+            mn_v = _mm256_min_pd(mn_v, d);
+        }
+        {
+            const __m128d lo2 = _mm256_castpd256_pd128(mn_v);
+            const __m128d hi2 = _mm256_extractf128_pd(mn_v, 1);
+            const __m128d m2 = _mm_min_pd(lo2, hi2);
+            const __m128d m1 =
+                _mm_min_sd(m2, _mm_unpackhi_pd(m2, m2));
+            min_delta[i] = _mm_cvtsd_f64(m1);
+        }
+        if (cand == 0)
+            continue;
+
+        // ---- floor + per-lane draws → accept mask, then the flip
+        uint64_t drew_i = 0;
+        const uint64_t accept =
+            Avx2Ops::decide(rngs, di, cand, lo, beta, drew_i);
+        drew |= drew_i;
+        if (accept != 0)
+            Avx2Ops::apply(state, i, accept);
+    }
     return drew;
+}
+
+void
+packedChainPassAvx2(ising::PackedState &state, LaneRngs &rngs,
+                    const FlatChains &chains, double beta)
+{
+    detail::chainPass<Avx2Ops>(state, rngs, chains, beta);
 }
 
 } // namespace qac::anneal
@@ -315,9 +370,17 @@ packedSweepAvx2Compiled()
 }
 
 uint64_t
-packedSweepAvx2(ising::PackedState &, LaneRngs &, double, double)
+packedSweepAvx2(ising::PackedState &, LaneRngs &, double, double,
+                double)
 {
     panic("packedSweepAvx2: built without QAC_ENABLE_AVX2");
+}
+
+void
+packedChainPassAvx2(ising::PackedState &, LaneRngs &, const FlatChains &,
+                    double)
+{
+    panic("packedChainPassAvx2: built without QAC_ENABLE_AVX2");
 }
 
 } // namespace qac::anneal

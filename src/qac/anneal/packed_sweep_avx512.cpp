@@ -32,6 +32,7 @@
 #include <limits>
 
 #include "qac/anneal/metropolis.h"
+#include "qac/anneal/packed_chain_pass.h"
 
 namespace qac::anneal {
 
@@ -181,93 +182,85 @@ drawGroup8(LaneRngs &rngs, int g, unsigned cand, __m512d d,
     return accept;
 }
 
-} // namespace
-
-bool
-packedSweepAvx512Compiled()
+/**
+ * Draw + decide for the lanes of @p draw, every one of which draws:
+ * dense masks step 8-lane groups in lockstep, sparse ones iterate set
+ * bits scalar-wise.  Either path is bit-identical per lane.
+ */
+inline uint64_t
+drawLanes(LaneRngs &rngs, const double *d, uint64_t draw, double beta)
 {
-    return true;
+    uint64_t accept = 0;
+    if (__builtin_popcountll(draw) >= kVectorDrawCut) {
+        const __m512d beta_v = _mm512_set1_pd(beta);
+        for (int g = 0; g < kGroups; ++g) {
+            const unsigned cand =
+                static_cast<unsigned>((draw >> (8 * g)) & 0xff);
+            if (cand == 0)
+                continue;
+            accept |= uint64_t{drawGroup8(rngs, g, cand,
+                                          _mm512_loadu_pd(d + 8 * g),
+                                          beta_v)}
+                      << (8 * g);
+        }
+    } else {
+        for (uint64_t m = draw; m != 0; m &= m - 1) {
+            const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+            const double u = rngs.uniform(l);
+            accept |= uint64_t{metropolisAcceptU(u, beta * d[l])} << l;
+        }
+    }
+    return accept;
 }
 
-uint64_t
-packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
-                  double beta, double thresh)
+/** The engine's draw + decide and batched flip apply, used by its
+ *  sweep and by the shared chain pass. */
+struct Avx512Ops
 {
-    const auto &model = state.model();
-    const uint32_t n = static_cast<uint32_t>(model.numVars());
-    const uint32_t *nbr = model.neighbors().data();
-    const double *w = model.weights().data();
-    const uint32_t *row = model.rowOffsets().data();
-    double *min_delta = state.minDelta();
-    double *delta = state.deltaPlane();
-    uint64_t *bits = state.spinBits();
-    uint64_t *flip_ctr = state.laneFlipCounters();
-
-    const __m512d thresh_v = _mm512_set1_pd(thresh);
-    const __m512d beta_v = _mm512_set1_pd(beta);
-    const __m512d sign_v = _mm512_set1_pd(-0.0);
-    const double inf = std::numeric_limits<double>::infinity();
-
-    uint64_t drew = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-        if (min_delta[i] >= thresh)
-            continue;
-        double *di = delta + size_t{i} * kLanes;
-
-        // ---- candidate scan + exact min refresh (flips land after
-        // all of variable i's draws, so scanning and drawing can fuse
-        // per group: the deltas at i are stable throughout).
-        uint64_t mask = 0;
-        uint64_t accept = 0;
-        __m512d mn_v = _mm512_set1_pd(inf);
-        __m512d dg[kGroups];
-        for (int g = 0; g < kGroups; ++g) {
-            dg[g] = _mm512_loadu_pd(di + 8 * g);
-            mask |= uint64_t{_mm512_cmp_pd_mask(dg[g], thresh_v,
-                                                _CMP_LT_OQ)}
-                    << (8 * g);
-            mn_v = _mm512_min_pd(mn_v, dg[g]);
+    /**
+     * The floor rule over the lanes of @p cand: d <= lo accepts with
+     * no draw, the other lanes draw (@p drew receives them).  lo = -inf
+     * is no floor at all: every candidate draws, as in SA's loop.
+     */
+    static uint64_t
+    decide(LaneRngs &rngs, const double *d, uint64_t cand, double lo,
+           double beta, uint64_t &drew)
+    {
+        uint64_t floor = 0;
+        if (lo > -std::numeric_limits<double>::infinity()) {
+            const __m512d lo_v = _mm512_set1_pd(lo);
+            for (int g = 0; g < kGroups; ++g)
+                floor |= uint64_t{_mm512_cmp_pd_mask(
+                             _mm512_loadu_pd(d + 8 * g), lo_v,
+                             _CMP_LE_OQ)}
+                         << (8 * g);
+            floor &= cand;
         }
-        if (mask == 0) {
-            min_delta[i] = reduceMin8(mn_v);
-            continue;
-        }
-        drew |= mask;
+        drew = cand & ~floor;
+        return floor | drawLanes(rngs, d, drew, beta);
+    }
 
-        // ---- per-lane draws → accept mask
-        if (__builtin_popcountll(mask) >= kVectorDrawCut) {
-            for (int g = 0; g < kGroups; ++g) {
-                const unsigned cand =
-                    static_cast<unsigned>((mask >> (8 * g)) & 0xff);
-                if (cand == 0)
-                    continue;
-                accept |= uint64_t{drawGroup8(rngs, g, cand, dg[g],
-                                              beta_v)}
-                          << (8 * g);
-            }
-        } else {
-            for (uint64_t m = mask; m != 0; m &= m - 1) {
-                const unsigned l =
-                    static_cast<unsigned>(__builtin_ctzll(m));
-                const double u = rngs.uniform(l);
-                accept |=
-                    uint64_t{metropolisAcceptU(u, beta * di[l])} << l;
-            }
-        }
-        if (accept == 0) {
-            // No flip at i: the scanned min survives the sweep.  (On
-            // the flip paths below min_delta[i] is dirtied to -inf, so
-            // the reduction would be wasted work — deferring it here
-            // skips it for most hot-phase variables.)
-            min_delta[i] = reduceMin8(mn_v);
-            continue;
-        }
-
-        // ---- batched flip application
+    /** Batched flip of variable @p i in the lanes of @p accept —
+     *  PackedState::applyFlips bit for bit, with masked vector updates. */
+    static void
+    apply(ising::PackedState &state, uint32_t i, uint64_t accept)
+    {
         if (__builtin_popcountll(accept) < kVectorApplyCut) {
             state.applyFlips(i, accept);
-            continue;
+            return;
         }
+        const auto &model = state.model();
+        const uint32_t *nbr = model.neighbors().data();
+        const double *w = model.weights().data();
+        const uint32_t *row = model.rowOffsets().data();
+        double *min_delta = state.minDelta();
+        double *delta = state.deltaPlane();
+        uint64_t *bits = state.spinBits();
+        uint64_t *flip_ctr = state.laneFlipCounters();
+        const __m512d sign_v = _mm512_set1_pd(-0.0);
+        const double inf = std::numeric_limits<double>::infinity();
+        double *di = delta + size_t{i} * kLanes;
+
         for (uint64_t m = accept; m != 0; m &= m - 1)
             ++flip_ctr[__builtin_ctzll(m)];
         // Active groups and their accept lane masks, once per flip set.
@@ -294,28 +287,94 @@ packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
         const uint32_t end = row[i + 1];
         for (uint32_t k = row[i]; k < end; ++k) {
             const uint32_t j = nbr[k];
-            // Same-spin lanes gain -4w, differing lanes +4w — the
-            // exact values LocalFieldState::flip adds (see
-            // PackedState::applyFlips); the sign select is an XOR of
-            // the sign bit, exact for signed zeros too.
+            // Same-spin lanes gain -4w, differing lanes +4w — the exact
+            // values LocalFieldState::flip adds (see
+            // PackedState::applyFlips); the sign select is an XOR of the
+            // sign bit, exact for signed zeros too.
             const __m512d w4_v = _mm512_set1_pd(-4.0 * w[k]);
             const uint64_t differ = bits_new ^ bits[j];
             double *dj = delta + size_t{j} * kLanes;
             for (int a = 0; a < ngroups; ++a) {
                 const int g = groups[a];
-                const __mmask8 dm = static_cast<__mmask8>(
-                    (differ >> (8 * g)) & 0xff);
+                const __mmask8 dm =
+                    static_cast<__mmask8>((differ >> (8 * g)) & 0xff);
                 const __m512d addend =
                     _mm512_mask_xor_pd(w4_v, dm, w4_v, sign_v);
-                const __m512d upd = _mm512_add_pd(
-                    _mm512_loadu_pd(dj + 8 * g), addend);
+                const __m512d upd =
+                    _mm512_add_pd(_mm512_loadu_pd(dj + 8 * g), addend);
                 _mm512_mask_storeu_pd(dj + 8 * g, amask[a], upd);
             }
             min_delta[j] = -inf;
         }
         min_delta[i] = -inf;
     }
+};
+
+} // namespace
+
+bool
+packedSweepAvx512Compiled()
+{
+    return true;
+}
+
+uint64_t
+packedSweepAvx512(ising::PackedState &state, LaneRngs &rngs,
+                  double beta, double lo, double thresh)
+{
+    const uint32_t n = static_cast<uint32_t>(state.model().numVars());
+    double *min_delta = state.minDelta();
+    double *delta = state.deltaPlane();
+
+    const __m512d thresh_v = _mm512_set1_pd(thresh);
+    const double inf = std::numeric_limits<double>::infinity();
+
+    uint64_t drew = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+        if (min_delta[i] >= thresh)
+            continue;
+        double *di = delta + size_t{i} * kLanes;
+
+        // ---- candidate scan + exact min refresh (flips land after all
+        // of variable i's draws, so the deltas at i are stable
+        // throughout).
+        uint64_t cand = 0;
+        __m512d mn_v = _mm512_set1_pd(inf);
+        for (int g = 0; g < kGroups; ++g) {
+            const __m512d d = _mm512_loadu_pd(di + 8 * g);
+            cand |= uint64_t{_mm512_cmp_pd_mask(d, thresh_v,
+                                                _CMP_LT_OQ)}
+                    << (8 * g);
+            mn_v = _mm512_min_pd(mn_v, d);
+        }
+        if (cand == 0) {
+            min_delta[i] = reduceMin8(mn_v);
+            continue;
+        }
+
+        // ---- floor + per-lane draws → accept mask
+        uint64_t drew_i = 0;
+        const uint64_t accept =
+            Avx512Ops::decide(rngs, di, cand, lo, beta, drew_i);
+        drew |= drew_i;
+        if (accept == 0) {
+            // No flip at i: the scanned min survives the sweep.  (On
+            // the flip path min_delta[i] is dirtied to -inf, so the
+            // reduction would be wasted work — deferring it here skips
+            // it for most hot-phase variables.)
+            min_delta[i] = reduceMin8(mn_v);
+            continue;
+        }
+        Avx512Ops::apply(state, i, accept);
+    }
     return drew;
+}
+
+void
+packedChainPassAvx512(ising::PackedState &state, LaneRngs &rngs,
+                      const FlatChains &chains, double beta)
+{
+    detail::chainPass<Avx512Ops>(state, rngs, chains, beta);
 }
 
 } // namespace qac::anneal
@@ -333,9 +392,17 @@ packedSweepAvx512Compiled()
 }
 
 uint64_t
-packedSweepAvx512(ising::PackedState &, LaneRngs &, double, double)
+packedSweepAvx512(ising::PackedState &, LaneRngs &, double, double,
+                  double)
 {
     panic("packedSweepAvx512: built without QAC_ENABLE_AVX512");
+}
+
+void
+packedChainPassAvx512(ising::PackedState &, LaneRngs &,
+                      const FlatChains &, double)
+{
+    panic("packedChainPassAvx512: built without QAC_ENABLE_AVX512");
 }
 
 } // namespace qac::anneal

@@ -240,8 +240,8 @@ paramsUsage()
     return "  --reads <N> --sweeps <N> --seed <N>\n"
            "  --request-id <N>      replay id: derives an independent "
            "seed stream (0 = plain seed)\n"
-           "  --packed auto|on|off  64-lane multi-spin SA kernel "
-           "(perf only; results are\n"
+           "  --packed auto|on|off  64-lane multi-spin SA/chainflip "
+           "kernel (perf only; results are\n"
            "                        bit-identical either way; auto = "
            "packed when reads >= 8\n"
            "                        and a vector engine dispatches)\n";

@@ -308,6 +308,37 @@ TEST(ChainFlip, SolvesChainedModelWhereSingleFlipStalls)
     EXPECT_NEAR(set.best().energy, want, 1e-9);
 }
 
+TEST(ChainFlip, RejectsBadChainIds)
+{
+    // A member past numVars() used to index out of range, and a qubit
+    // listed twice (in one chain or in two) made the composite delta
+    // wrong; both are now typed errors, on either kernel path.
+    Rng rng(67);
+    IsingModel m = randomModel(rng, 8, 0.6);
+    const std::vector<std::vector<std::vector<uint32_t>>> bad = {
+        {{0, 1}, {2, 8}},    // 8 is not a variable of an 8-var model
+        {{0, 1, 0}, {2, 3}}, // repeated within a chain
+        {{0, 1}, {2, 1}},    // shared by two chains
+    };
+    for (const auto &chains : bad) {
+        for (PackedMode packed : {PackedMode::Off, PackedMode::On}) {
+            ChainFlipAnnealer::Params p;
+            p.num_reads = 4;
+            p.sweeps = 8;
+            p.packed = packed;
+            EXPECT_THROW(ChainFlipAnnealer(p, chains).sample(m),
+                         FatalError);
+        }
+    }
+    // Disjoint, in-range chains (including an empty one) still run.
+    ChainFlipAnnealer::Params p;
+    p.num_reads = 4;
+    p.sweeps = 8;
+    EXPECT_EQ(ChainFlipAnnealer(p, {{0, 1}, {}, {7, 2}}).sample(m)
+                  .totalReads(),
+              4u);
+}
+
 TEST(Samplers, EmptyModelIsHandled)
 {
     IsingModel m(0);

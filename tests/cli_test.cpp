@@ -489,33 +489,49 @@ TEST(Qacc, PackedAutoStaysPerReadOnScalarEngine)
 {
     // Without a vector engine the scalar packed engine is slower than
     // the per-read kernel, so --packed auto must not choose it; every
-    // mode still samples identically.
+    // mode still samples identically.  Checked for logical SA and for
+    // chainflip on the embedded physical model.
     std::string v = writeTemp("cli_mult_packed.v", kMult);
     std::string dir = ::testing::TempDir();
     auto slurp = [](const std::string &path) {
         std::ifstream in(path);
         return std::string(std::istreambuf_iterator<char>(in), {});
     };
-    std::string tails[3], stats[3];
-    const char *modes[3] = {"auto", "off", "on"};
-    for (int i = 0; i < 3; ++i) {
-        std::string json = dir + "cli_packed_" + modes[i] + ".json";
-        auto [code, out] = run(
-            "QAC_NO_AVX2=1 " + std::string(QACC_PATH) + " " + v +
-            " --top mult --no-cache --run --solver sa --reads 64 "
-            "--sweeps 64 --seed 3 --pin \"C[3:0] := 0110\" --packed " +
-            modes[i] + " --stats=" + json);
-        ASSERT_EQ(code, 0) << out;
-        tails[i] = reportTail(out);
-        stats[i] = slurp(json);
+    const struct
+    {
+        const char *tag, *flags, *solver_stat;
+    } runs[] = {
+        {"sa", "", "\"anneal.sa.reads\""},
+        {"cf", " --target chimera --chimera-size 4 --physical",
+         "\"anneal.chainflip.reads\""},
+    };
+    for (const auto &r : runs) {
+        std::string tails[3], stats[3];
+        const char *modes[3] = {"auto", "off", "on"};
+        for (int i = 0; i < 3; ++i) {
+            std::string json = dir + "cli_packed_" + r.tag + "_" +
+                               modes[i] + ".json";
+            auto [code, out] = run(
+                "QAC_NO_AVX2=1 " + std::string(QACC_PATH) + " " + v +
+                " --top mult --no-cache" + r.flags +
+                " --run --solver sa --reads 64 --sweeps 64 --seed 3 "
+                "--pin \"C[3:0] := 0110\" --packed " +
+                modes[i] + " --stats=" + json);
+            ASSERT_EQ(code, 0) << out;
+            tails[i] = reportTail(out);
+            stats[i] = slurp(json);
+        }
+        const std::string passes = "\"anneal.kernel.packed_passes\"";
+        EXPECT_EQ(stats[0].find(passes), std::string::npos) << stats[0];
+        EXPECT_EQ(stats[1].find(passes), std::string::npos) << stats[1];
+        EXPECT_NE(stats[2].find(passes), std::string::npos) << stats[2];
+        EXPECT_NE(stats[2].find(r.solver_stat), std::string::npos)
+            << stats[2];
+        EXPECT_NE(tails[0].find("solution"), std::string::npos)
+            << tails[0];
+        EXPECT_EQ(tails[0], tails[1]) << r.tag;
+        EXPECT_EQ(tails[0], tails[2]) << r.tag;
     }
-    const std::string passes = "\"anneal.kernel.packed_passes\"";
-    EXPECT_EQ(stats[0].find(passes), std::string::npos) << stats[0];
-    EXPECT_EQ(stats[1].find(passes), std::string::npos) << stats[1];
-    EXPECT_NE(stats[2].find(passes), std::string::npos) << stats[2];
-    EXPECT_NE(tails[0].find("solution"), std::string::npos) << tails[0];
-    EXPECT_EQ(tails[0], tails[1]);
-    EXPECT_EQ(tails[0], tails[2]);
 }
 
 TEST(Artifact, CacheCountersInStatsJson)

@@ -21,7 +21,9 @@
 #include "qac/anneal/sampleset.h"
 #include "qac/ising/compiled.h"
 #include "qac/ising/model.h"
+#include "qac/core/compiler.h"
 #include "qac/telemetry/telemetry.h"
+#include "qac/util/hash.h"
 #include "qac/util/rng.h"
 
 namespace {
@@ -299,13 +301,16 @@ INSTANTIATE_TEST_SUITE_P(AllKernelSamplers, KernelSampler,
 // --------------------------------------------- packed-lane parity
 //
 // The multi-spin kernel (DESIGN.md §13) must be invisible in results:
-// a packed SA run is required to be bitwise-identical — SampleSet and
-// telemetry JSONL — to the scalar per-read kernel, at any thread
-// count, for full and ragged lane occupancy.
+// a packed SA or chainflip run is required to be bitwise-identical —
+// SampleSet and telemetry JSONL — to the scalar per-read kernel, at
+// any thread count, for full and ragged lane occupancy.
 
+/** A packed-capable sampler; chainflip gets three hand-made chains
+ *  (the model needs at least 23 variables). */
 anneal::SampleSet
-runSa(const ising::IsingModel &m, uint32_t reads, uint32_t threads,
-      anneal::PackedMode packed, uint64_t seed = 9)
+runPackable(const char *solver, const ising::IsingModel &m,
+            uint32_t reads, uint32_t threads, anneal::PackedMode packed,
+            uint64_t seed = 9)
 {
     anneal::SamplerOpts o;
     o.common.num_reads = reads;
@@ -313,8 +318,17 @@ runSa(const ising::IsingModel &m, uint32_t reads, uint32_t threads,
     o.common.threads = threads;
     o.common.packed = packed;
     o.sweeps = 48;
-    auto sampler = anneal::makeSampler("sa", o);
+    if (std::string(solver) == "chainflip")
+        o.chains = {{0, 1, 2}, {8, 9}, {22, 20, 21}};
+    auto sampler = anneal::makeSampler(solver, o);
     return sampler->sample(m);
+}
+
+anneal::SampleSet
+runSa(const ising::IsingModel &m, uint32_t reads, uint32_t threads,
+      anneal::PackedMode packed, uint64_t seed = 9)
+{
+    return runPackable("sa", m, reads, threads, packed, seed);
 }
 
 TEST(PackedLaneParity, FullPassMatchesScalarReads)
@@ -370,29 +384,232 @@ TEST(PackedLaneParity, TelemetryJsonlByteIdentical)
     using telemetry::Collector;
     ising::IsingModel m = randomSparseModel(73, 30, 6);
 
-    auto capture = [&](uint32_t reads, uint32_t threads,
-                       anneal::PackedMode packed) {
+    auto capture = [&](const char *solver, uint32_t reads,
+                       uint32_t threads, anneal::PackedMode packed) {
         Collector::global().clear();
         telemetry::Config cfg;
         cfg.stride = 4;
         cfg.capacity = 16;
         Collector::global().configure(cfg);
         Collector::global().setEnabled(true);
-        runSa(m, reads, threads, packed);
+        runPackable(solver, m, reads, threads, packed);
         std::string jsonl = Collector::global().toJsonl();
         Collector::global().setEnabled(false);
         Collector::global().clear();
         return jsonl;
     };
 
-    for (uint32_t reads : {64u, 70u}) {
-        const std::string scalar =
-            capture(reads, 1, anneal::PackedMode::Off);
-        ASSERT_FALSE(scalar.empty());
-        for (uint32_t threads : {1u, 8u}) {
-            EXPECT_EQ(scalar,
-                      capture(reads, threads, anneal::PackedMode::On))
-                << "reads " << reads << " threads " << threads;
+    for (const char *solver : {"sa", "chainflip"}) {
+        for (uint32_t reads : {64u, 70u}) {
+            const std::string scalar =
+                capture(solver, reads, 1, anneal::PackedMode::Off);
+            ASSERT_FALSE(scalar.empty());
+            for (uint32_t threads : {1u, 8u}) {
+                EXPECT_EQ(scalar, capture(solver, reads, threads,
+                                          anneal::PackedMode::On))
+                    << solver << " reads " << reads << " threads "
+                    << threads;
+            }
+        }
+    }
+}
+
+// ------------------------------------------------- chainflip golden
+//
+// FNV-1a digests of chainflip SampleSets recorded while chainflip still
+// ran only the per-read scalar loop.  The packed chainflip path must
+// reproduce them at every packed policy, thread count and sweep engine
+// (ctest reruns this suite under QAC_NO_AVX512=1 and QAC_NO_AVX2=1).
+// They are a recording, not a specification: never re-record them to
+// make a change pass.
+
+uint64_t
+sampleSetDigest(const anneal::SampleSet &set)
+{
+    util::Hasher h;
+    h.u64(set.totalReads()).u64(set.size());
+    for (const auto &s : set.samples()) {
+        h.u64(s.spins.size());
+        for (ising::Spin v : s.spins)
+            h.u8(static_cast<uint8_t>(v));
+        h.f64(s.energy).u64(s.num_occurrences);
+    }
+    return h.digest();
+}
+
+uint64_t
+modelDigest(const ising::IsingModel &m,
+            const std::vector<std::vector<uint32_t>> &chains)
+{
+    util::Hasher h;
+    h.u64(m.numVars());
+    for (uint32_t i = 0; i < m.numVars(); ++i)
+        h.f64(m.linear(i));
+    for (const auto &t : m.sortedQuadraticTerms())
+        h.u32(t.i).u32(t.j).f64(t.value);
+    for (const auto &c : chains) {
+        h.u64(c.size());
+        for (uint32_t q : c)
+            h.u32(q);
+    }
+    return h.digest();
+}
+
+struct ChainModel
+{
+    std::string name;
+    ising::IsingModel model;
+    std::vector<std::vector<uint32_t>> chains;
+};
+
+/** A C16 embedding of @p src under embedder seed 1, uncached. */
+ChainModel
+embeddedC16(const std::string &name, const std::string &top,
+            const std::string &src)
+{
+    core::CompileOptions co;
+    co.verilogOpts().top = top;
+    co.target = core::Target::Chimera;
+    co.chimera_size = 16;
+    co.embed.seed = 1;
+    co.cache.enabled = false;
+    core::CompileResult r = core::compile(src, co);
+    if (!r.embedded) {
+        ADD_FAILURE() << name << ": no embedding";
+        return {name, {}, {}};
+    }
+    return {name, r.embedded->physical, r.embedded->dense_chains};
+}
+
+/** Random sparse model with hand-made chains: out-of-order members,
+ *  a singleton, ferromagnetic internal couplings, and free qubits. */
+ChainModel
+handChainModel()
+{
+    ChainModel c{"hand", randomSparseModel(83, 60, 6), {}};
+    c.chains = {{4, 1, 2, 3}, {9}, {12, 10, 11}, {20, 21, 22, 23, 24},
+                {31, 30}, {40, 44, 42}, {50, 59}};
+    for (const auto &chain : c.chains)
+        for (size_t k = 1; k < chain.size(); ++k)
+            c.model.addQuadratic(chain[k - 1], chain[k], -1.5);
+    return c;
+}
+
+const std::vector<ChainModel> &
+goldenModels()
+{
+    static const std::vector<ChainModel> models = [] {
+        std::vector<ChainModel> m;
+        m.push_back(embeddedC16("mult4", "mult4",
+                                "module mult4 (A, B, C);\n"
+                                "  input [1:0] A, B;\n"
+                                "  output [3:0] C;\n"
+                                "  assign C = A * B;\n"
+                                "endmodule\n"));
+        m.push_back(embeddedC16(
+            "mux_add_sub", "mux_add_sub",
+            "module mux_add_sub (A, B, sel, Y);\n"
+            "  input [2:0] A, B;\n"
+            "  input sel;\n"
+            "  output [3:0] Y;\n"
+            "  assign Y = sel ? (A - B) : (A + B);\n"
+            "endmodule\n"));
+        m.push_back(embeddedC16(
+            "map_coloring", "australia",
+            "module australia (NSW, QLD, SA, VIC, WA, NT, ACT, valid);\n"
+            "  input [1:0] NSW, QLD, SA, VIC, WA, NT, ACT;\n"
+            "  output valid;\n"
+            "  assign valid = WA != NT && WA != SA && NT != SA && "
+            "NT != QLD &&\n"
+            "                 SA != QLD && SA != NSW && SA != VIC && "
+            "QLD != NSW &&\n"
+            "                 NSW != VIC && NSW != ACT;\n"
+            "endmodule\n"));
+        m.push_back(handChainModel());
+        return m;
+    }();
+    return models;
+}
+
+struct GoldenDigest
+{
+    const char *model;
+    uint32_t reads;
+    uint64_t digest;
+};
+
+// Recorded with 48 sweeps, seed 7, greedy polish on.
+constexpr GoldenDigest kChainFlipGolden[] = {
+    {"mult4", 1, 0x4b45fbdeef43121bULL},
+    {"mult4", 7, 0x9125964c78fe155cULL},
+    {"mult4", 64, 0xaebcf727923cf44dULL},
+    {"mult4", 65, 0x1c2d2886d2eca361ULL},
+    {"mult4", 250, 0x1f4f25db7ad2c0b7ULL},
+    {"mux_add_sub", 1, 0x7e30964002a26463ULL},
+    {"mux_add_sub", 7, 0xb6b7556b878ec4b9ULL},
+    {"mux_add_sub", 64, 0x860eb22522088f76ULL},
+    {"mux_add_sub", 65, 0xa27770c77d993469ULL},
+    {"mux_add_sub", 250, 0xe0c83f77dfea3ccbULL},
+    {"map_coloring", 1, 0x9a5030515a8f15f7ULL},
+    {"map_coloring", 7, 0x939882a957904613ULL},
+    {"map_coloring", 64, 0x0a36aebe114faa8fULL},
+    {"map_coloring", 65, 0xadb173486bb04a02ULL},
+    {"map_coloring", 250, 0x2225384fd57edaf5ULL},
+    {"hand", 1, 0xf991e0e49a11d5e2ULL},
+    {"hand", 7, 0xe731762fa30ea388ULL},
+    {"hand", 64, 0x72e2d748354a01f9ULL},
+    {"hand", 65, 0x8121b990071b7d9fULL},
+    {"hand", 250, 0xe3a304e399d9540dULL},
+};
+
+// The models the digests were recorded on: a mismatch here means the
+// embedder (or the model builder), not chainflip, changed.
+constexpr std::pair<const char *, uint64_t> kGoldenModels[] = {
+    {"mult4", 0x1ba7cda327e92c76ULL},
+    {"mux_add_sub", 0x470d901bec1610d4ULL},
+    {"map_coloring", 0x3861457c5907a8caULL},
+    {"hand", 0x2f135cf40e0a7684ULL},
+};
+
+TEST(ChainFlipGolden, ModelsMatchRecording)
+{
+    for (const ChainModel &cm : goldenModels())
+        for (const auto &[name, digest] : kGoldenModels)
+            if (cm.name == name) {
+                const uint64_t d = modelDigest(cm.model, cm.chains);
+                EXPECT_EQ(d, digest) << "GOLDEN_MODEL " << cm.name << " "
+                                     << util::hexDigest(d);
+            }
+}
+
+TEST(ChainFlipGolden, DigestsMatchPerReadRecording)
+{
+    for (const ChainModel &cm : goldenModels()) {
+        ASSERT_GT(cm.chains.size(), 0u) << cm.name;
+        for (const GoldenDigest &g : kChainFlipGolden) {
+            if (cm.name != g.model)
+                continue;
+            for (auto packed :
+                 {anneal::PackedMode::Off, anneal::PackedMode::On,
+                  anneal::PackedMode::Auto}) {
+                for (uint32_t threads : {1u, 4u}) {
+                    anneal::SamplerOpts o;
+                    o.common.num_reads = g.reads;
+                    o.common.seed = 7;
+                    o.common.threads = threads;
+                    o.common.packed = packed;
+                    o.sweeps = 48;
+                    o.chains = cm.chains;
+                    const uint64_t d = sampleSetDigest(
+                        anneal::makeSampler("chainflip", o)
+                            ->sample(cm.model));
+                    EXPECT_EQ(d, g.digest)
+                        << "GOLDEN " << cm.name << " " << g.reads << " "
+                        << util::hexDigest(d) << " packed "
+                        << static_cast<int>(packed) << " threads "
+                        << threads;
+                }
+            }
         }
     }
 }
