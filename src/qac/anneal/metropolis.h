@@ -48,10 +48,10 @@ namespace qac::anneal {
  * 1e-11 — orders of magnitude above evaluation rounding — so the
  * verdicts agree with u < exp(-x) exactly and trajectories are
  * unchanged; below 1/16 the first-stage gap is O(x^3) ~ 1e-5 wide and
- * exp is effectively never reached anyway.  The packed vector engines
- * (DESIGN.md §13) replicate the two stages with the identical
- * expression shapes and call this tail for the leftovers, so every
- * engine computes the identical decision.
+ * exp is effectively never reached anyway.  The packed vector engine
+ * (DESIGN.md §13) replicates both stages with the identical expression
+ * shapes and calls exp for the leftovers, so every engine computes the
+ * identical decision.
  */
 inline bool
 metropolisAcceptTail(double u, double x)

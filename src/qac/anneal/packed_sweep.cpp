@@ -3,7 +3,7 @@
 #include <limits>
 
 #include "qac/anneal/metropolis.h"
-#include "qac/anneal/packed_chain_pass.h"
+#include "qac/anneal/packed_engine.h"
 #include "qac/util/cpu.h"
 #include "qac/util/logging.h"
 
@@ -25,28 +25,20 @@ struct ScalarOps
     decide(LaneRngs &rngs, const double *d, uint64_t cand, double lo,
            double beta, uint64_t &drew)
     {
-        const bool floored =
-            lo > -std::numeric_limits<double>::infinity();
-        uint64_t accept = 0;
-        drew = 0;
-        for (uint64_t m = cand; m != 0; m &= m - 1) {
-            const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
-            const uint64_t bit = uint64_t{1} << l;
-            if (floored && d[l] <= lo) {
-                accept |= bit;
-                continue;
+        uint64_t floor = 0;
+        if (lo > -detail::kInf)
+            for (uint64_t m = cand; m != 0; m &= m - 1) {
+                const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+                floor |= uint64_t{d[l] <= lo} << l;
             }
-            drew |= bit;
-            const double u = rngs.uniform(l);
-            accept |= uint64_t{metropolisAcceptU(u, beta * d[l])} << l;
-        }
-        return accept;
+        drew = cand & ~floor;
+        return floor | detail::drawLanes(rngs, d, drew, beta);
     }
 
     static void
-    apply(ising::PackedState &state, uint32_t i, uint64_t accept)
+    apply(const detail::Planes &p, uint32_t i, uint64_t accept)
     {
-        state.applyFlips(i, accept);
+        p.state->applyFlips(i, accept);
     }
 };
 
@@ -121,7 +113,7 @@ packedSweepScalar(ising::PackedState &state, LaneRngs &rngs,
             ScalarOps::decide(rngs, di, cand, lo, beta, drew_i);
         drew |= drew_i;
         if (accept != 0)
-            ScalarOps::apply(state, i, accept);
+            state.applyFlips(i, accept);
     }
     return drew;
 }
@@ -130,8 +122,50 @@ void
 packedChainPassScalar(ising::PackedState &state, LaneRngs &rngs,
                       const FlatChains &chains, double beta)
 {
-    detail::chainPass<ScalarOps>(state, rngs, chains, beta);
+    detail::chainPass<ScalarOps>(detail::planesOf(state), rngs,
+                                 detail::planesOf(chains), beta);
 }
+
+namespace detail {
+
+Planes
+planesOf(ising::PackedState &state)
+{
+    const auto &model = state.model();
+    return {&state,
+            static_cast<uint32_t>(model.numVars()),
+            state.deltaPlane(),
+            state.minDelta(),
+            state.spinBits(),
+            state.laneFlipCounters(),
+            state.activeMask(),
+            model.rowOffsets().data(),
+            model.neighbors().data(),
+            model.weights().data()};
+}
+
+ChainPlanes
+planesOf(const FlatChains &chains)
+{
+    return {chains.size(),         chains.member_off.data(),
+            chains.members.data(), chains.edge_off.data(),
+            chains.edge_i.data(),  chains.edge_j.data(),
+            chains.edge_w4.data()};
+}
+
+uint64_t
+drawLanes(LaneRngs &rngs, const double *d, uint64_t draw, double beta)
+{
+    uint64_t accept = 0;
+    for (uint64_t m = draw; m != 0; m &= m - 1) {
+        const unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+        const double u = rngs.uniform(l);
+        accept |= uint64_t{metropolisAcceptU(u, beta * d[l])} << l;
+    }
+    return accept;
+}
+
+} // namespace detail
 
 const PackedEngine &
 selectPackedEngine()

@@ -44,10 +44,7 @@ compile(const std::string &source, const CompileOptions &opts)
     }
 
     // 2. Assembly to the logical Ising model.
-    {
-        stats::ScopedTimer t("compile.assemble");
-        res.assembled = qmasm::assemble(res.qmasm_program, opts.assemble);
-    }
+    res.assembled = qmasm::assemble(res.qmasm_program, opts.assemble);
     res.stats.gates = res.netlist.numGates();
     res.stats.logical_vars = res.assembled.model.numVars();
     res.stats.logical_terms = res.assembled.model.numTerms();

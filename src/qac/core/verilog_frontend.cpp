@@ -58,11 +58,8 @@ class VerilogFrontend : public Frontend
         // 1. Synthesis (the Yosys step).
         verilog::SynthOptions sopts;
         sopts.top_params = fo.top_params;
-        netlist::Netlist nl;
-        {
-            stats::ScopedTimer t("compile.synth");
-            nl = verilog::synthesizeSource(source, fo.top, sopts);
-        }
+        netlist::Netlist nl =
+            verilog::synthesizeSource(source, fo.top, sopts);
 
         // 2. Sequential unrolling (Section 4.3.3).
         if (nl.isSequential()) {
@@ -75,38 +72,22 @@ class VerilogFrontend : public Frontend
         }
 
         // 3. ABC-style optimization and technology mapping.
-        if (fo.optimize) {
-            stats::ScopedTimer t("compile.opt");
+        if (fo.optimize)
             netlist::optimize(nl);
-        }
         if (fo.do_techmap) {
-            {
-                stats::ScopedTimer t("compile.techmap");
-                netlist::techMap(nl, fo.techmap);
-            }
-            if (fo.optimize) {
-                stats::ScopedTimer t("compile.opt");
+            netlist::techMap(nl, fo.techmap);
+            if (fo.optimize)
                 netlist::optimize(nl);
-            }
         }
 
         // 4. EDIF emission and re-ingestion: the pipeline genuinely
         // passes through the interchange format, as the paper's does.
-        {
-            stats::ScopedTimer t("compile.edif_write");
-            out.edif_text = edif::writeEdif(nl);
-        }
-        {
-            stats::ScopedTimer t("compile.edif_read");
-            out.netlist = edif::readEdif(out.edif_text);
-        }
+        out.edif_text = edif::writeEdif(nl);
+        out.netlist = edif::readEdif(out.edif_text);
         recordCellHistogram(out.netlist);
 
         // 5. edif2qmasm.
-        {
-            stats::ScopedTimer t("compile.edif2qmasm");
-            out.program = qmasm::netlistToQmasm(out.netlist);
-        }
+        out.program = qmasm::netlistToQmasm(out.netlist);
         {
             // Count the main program without the standard-cell macros,
             // the way Section 6.1 reports "736 lines of QMASM

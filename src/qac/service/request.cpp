@@ -91,6 +91,15 @@ runLocal(const core::Executable &exe, const SampleRequest &req)
 
 // ------------------------------------------------------------ codecs
 
+// Least encoded bytes of one repeated element (a string is a u64
+// length plus its bytes).  A decoded count above remaining() / that
+// cannot be honest, and is rejected before anything is reserved.
+constexpr size_t kPinBytes = 8; // str
+// value count, energy, occurrences, valid, chain_breaks, model_line,
+// clauses_satisfied, clauses_total, weight_violated
+constexpr size_t kCandidateBytes = 8 + 8 + 4 + 1 + 8 + 8 + 8 + 8 + 8;
+constexpr size_t kValueBytes = 8 + 1; // str, u8
+
 std::string
 serializeRequest(const SampleRequest &req)
 {
@@ -123,7 +132,7 @@ parseRequest(std::string_view bytes, SampleRequest &out,
     SampleRequest req;
     req.object_digest = r.str();
     uint64_t npins = r.u64();
-    if (npins > bytes.size()) { // cheap sanity bound before the loop
+    if (npins > r.remaining() / kPinBytes) {
         if (error)
             *error = "malformed request: pin count";
         return false;
@@ -207,7 +216,7 @@ parseResult(std::string_view bytes, SampleResult &out,
     res.vars_sampled = r.u64();
     res.vars_fixed = r.u64();
     uint64_t ncand = r.u64();
-    if (ncand > bytes.size()) {
+    if (ncand > r.remaining() / kCandidateBytes) {
         if (error)
             *error = "malformed result: candidate count";
         return false;
@@ -216,7 +225,7 @@ parseResult(std::string_view bytes, SampleResult &out,
     for (uint64_t i = 0; i < ncand && r.ok(); ++i) {
         SampleResult::Candidate c;
         uint64_t nvals = r.u64();
-        if (nvals > bytes.size()) {
+        if (nvals > r.remaining() / kValueBytes) {
             if (error)
                 *error = "malformed result: value count";
             return false;

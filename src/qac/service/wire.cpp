@@ -88,13 +88,16 @@ parseHello(std::string_view bytes, Hello &out)
     Hello h;
     h.protocol = r.u32();
     h.server = r.str();
+    // Counts are bounded by the least encoded size of their elements:
+    // a solver name is a u64 length plus bytes; an object is two of
+    // those, two u64s and a u8.
     uint64_t nsolvers = r.u64();
-    if (nsolvers > bytes.size())
+    if (nsolvers > r.remaining() / 8)
         return false;
     for (uint64_t i = 0; i < nsolvers && r.ok(); ++i)
         h.solvers.push_back(r.str());
     uint64_t nobjects = r.u64();
-    if (nobjects > bytes.size())
+    if (nobjects > r.remaining() / (8 + 8 + 8 + 8 + 1))
         return false;
     for (uint64_t i = 0; i < nobjects && r.ok(); ++i) {
         ObjectInfo o;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "qac/util/json.h"
+
 namespace qac::stats {
 
 static std::string
@@ -57,32 +59,6 @@ textReport(const std::vector<Metric> &metrics)
     return out;
 }
 
-static void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 std::string
 jsonReport(const std::vector<Metric> &metrics,
            const std::string &manifest_json)
@@ -101,7 +77,7 @@ jsonReport(const std::vector<Metric> &metrics,
             out += ',';
         first = false;
         out += "{\"path\":\"";
-        appendEscaped(out, m.path);
+        util::json::appendEscaped(out, m.path);
         out += "\",";
         switch (m.kind) {
           case MetricKind::Counter:

@@ -6,7 +6,7 @@
  *
  *   {"schema":"qac-stats-v1","metrics":[
  *     {"path":"compile.gates","kind":"counter","value":42},
- *     {"path":"compile.synth","kind":"timer","calls":1,"total_ns":12345},
+ *     {"path":"compile.embed","kind":"timer","calls":1,"total_ns":12345},
  *     {"path":"embed.minorminer.chain_len","kind":"distribution",
  *      "count":9,"sum":...,"min":...,"max":...,"mean":...,"stddev":...}]}
  *

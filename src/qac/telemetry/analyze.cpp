@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "qac/stats/registry.h"
-#include "qac/telemetry/json_util.h"
+#include "qac/util/json.h"
 
 namespace qac::telemetry {
 
@@ -64,9 +64,9 @@ analyze(const anneal::SampleSet &set, const AnalyzeOptions &opts)
 std::string
 analysisJson(const std::string &solver, const Analysis &a)
 {
-    using detail::appendDouble;
-    using detail::appendString;
-    using detail::appendU64;
+    using util::json::appendDouble;
+    using util::json::appendString;
+    using util::json::appendU64;
 
     std::string out = "{\"kind\":\"analysis\",\"solver\":";
     appendString(out, solver);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "qac/stats/registry.h"
-#include "qac/telemetry/json_util.h"
+#include "qac/util/json.h"
 
 namespace qac::telemetry {
 
@@ -61,9 +61,9 @@ buildChainReport(const std::vector<std::vector<uint32_t>> &chains,
 std::string
 chainReportJson(const std::string &solver, const ChainReport &r)
 {
-    using detail::appendDouble;
-    using detail::appendString;
-    using detail::appendU64;
+    using util::json::appendDouble;
+    using util::json::appendString;
+    using util::json::appendU64;
 
     std::string out = "{\"kind\":\"chains\",\"solver\":";
     appendString(out, solver);

@@ -2,7 +2,7 @@
 
 #include <thread>
 
-#include "qac/telemetry/json_util.h"
+#include "qac/util/json.h"
 #include "qac/util/version.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -43,7 +43,7 @@ void
 Manifest::param(const std::string &key, uint64_t value)
 {
     std::string v;
-    detail::appendU64(v, value);
+    util::json::appendU64(v, value);
     params[key] = v;
 }
 
@@ -51,15 +51,15 @@ void
 Manifest::param(const std::string &key, double value)
 {
     std::string v;
-    detail::appendDouble(v, value);
+    util::json::appendDouble(v, value);
     params[key] = v;
 }
 
 std::string
 Manifest::block(bool include_threads) const
 {
-    using detail::appendString;
-    using detail::appendU64;
+    using util::json::appendString;
+    using util::json::appendU64;
 
     std::string out = "{\"tool\":";
     appendString(out, tool);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
-#include "qac/telemetry/json_util.h"
+#include "qac/util/json.h"
 
 namespace qac::telemetry {
 
@@ -139,9 +139,9 @@ void
 appendReadRecord(std::string &out, const RunTrace &run, size_t run_idx,
                  const ReadRecorder &r)
 {
-    using detail::appendDouble;
-    using detail::appendString;
-    using detail::appendU64;
+    using util::json::appendDouble;
+    using util::json::appendString;
+    using util::json::appendU64;
 
     out += "{\"kind\":\"read\",\"solver\":";
     appendString(out, run.solver);

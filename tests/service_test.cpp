@@ -26,6 +26,7 @@
 #include <unistd.h>
 
 #include "qac/artifact/qo.h"
+#include "qac/artifact/serial.h"
 #include "qac/core/compiler.h"
 #include "qac/core/program.h"
 #include "qac/service/client.h"
@@ -213,6 +214,58 @@ TEST(Wire, RequestCodecRoundTrip)
 
     SampleRequest garbage;
     EXPECT_FALSE(parseRequest("not a request", garbage));
+}
+
+TEST(Wire, CountsAreBoundedByBytesLeft)
+{
+    // Each decoded count may be at most the bytes left after it over
+    // the least encoded size of one element; one more is rejected by
+    // its own typed error, before anything is reserved.
+    const std::string tail(800, '\0');
+    auto request = [&](uint64_t npins) {
+        artifact::Writer w;
+        w.str("digest");
+        w.u64(npins);
+        return w.take() + tail;
+    };
+    SampleRequest req;
+    std::string error;
+    EXPECT_FALSE(parseRequest(request(800 / 8 + 1), req, &error));
+    EXPECT_EQ(error, "malformed request: pin count");
+    EXPECT_FALSE(parseRequest(request(800 / 8), req, &error));
+    EXPECT_EQ(error, "malformed request payload");
+
+    // @p first: the first candidate's encoding, up to the tail.
+    auto result = [&](uint64_t ncand, const std::string &first = "") {
+        artifact::Writer w;
+        for (int k = 0; k < 3; ++k)
+            w.u64(0);
+        w.u8(0);
+        for (int k = 0; k < 3; ++k)
+            w.u64(0);
+        w.u64(ncand);
+        return w.take() + first + tail;
+    };
+    SampleResult res;
+    EXPECT_FALSE(parseResult(result(800 / 61 + 1), res, &error));
+    EXPECT_EQ(error, "malformed result: candidate count");
+    EXPECT_FALSE(parseResult(result(800 / 61), res, &error));
+    EXPECT_EQ(error, "malformed result payload");
+
+    artifact::Writer values;
+    values.u64(800 / 9 + 1);
+    EXPECT_FALSE(parseResult(result(1, values.take()), res, &error));
+    EXPECT_EQ(error, "malformed result: value count");
+
+    auto hello = [&](uint64_t nsolvers) {
+        artifact::Writer h;
+        h.u32(kProtocolVersion);
+        h.str("qmad");
+        h.u64(nsolvers);
+        return h.take() + tail;
+    };
+    Hello parsed;
+    EXPECT_FALSE(parseHello(hello(800 / 8 + 1), parsed));
 }
 
 // ---- replay contract ----

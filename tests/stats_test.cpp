@@ -251,6 +251,25 @@ TEST_F(StatsTest, JsonReportEmbedsManifestBlock)
     EXPECT_EQ(plain.find("manifest"), std::string::npos);
 }
 
+TEST_F(StatsTest, JsonReportAndTraceEscapeNamesAlike)
+{
+    // Quote, backslash, newline, tab and a bare control byte: the
+    // metric path and the trace-event name escape byte for byte alike.
+    const std::string name = "x\"q\\b\nn\tt\x01z";
+    const std::string escaped = "x\\\"q\\\\b\\nn\\tt\\u0001z";
+    stats::count(name);
+    std::string json = stats::jsonReport();
+    EXPECT_NE(json.find("{\"path\":\"" + escaped + "\",\"kind\":"),
+              std::string::npos)
+        << json;
+    stats::Trace::global().setEnabled(true);
+    stats::Trace::global().instant(name);
+    std::string trace = stats::Trace::global().toJson();
+    EXPECT_NE(trace.find("{\"name\":\"" + escaped + "\",\"cat\":"),
+              std::string::npos)
+        << trace;
+}
+
 TEST_F(StatsTest, FlowEventsSerializeWithIdsAndBinding)
 {
     stats::Trace::global().setEnabled(true);
