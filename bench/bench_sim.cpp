@@ -1,17 +1,20 @@
 /**
  * @file
  * Throughput of the simulation subsystem (DESIGN.md §15): the
- * event-driven 4-state simulator against the levelized reference, on
- * a tech-mapped multiplier/ALU netlist.
+ * event-driven 4-state simulator on a tech-mapped multiplier/ALU
+ * netlist.
  *
- * Three rows:
+ * Rows:
  *  - "full"  — every input changes per vector, so the event engine
- *    re-evaluates essentially the whole netlist; this bounds its
- *    per-event overhead against the levelized simulator's straight
- *    topological sweep.
+ *    re-evaluates essentially the whole netlist, each gate at most
+ *    once in rank order; this bounds its per-event overhead.
  *  - "incr"  — one input bit toggles per vector, the diffCheck-style
  *    stimulus locality; only the changed cone re-evaluates, so
  *    vectors/sec is far above the full-stimulus rate.
+ *  - "levelized" — the full-stimulus vectors through
+ *    netlist::Simulator, the same engine behind the acyclic-netlist
+ *    front end Executable::evaluate uses; gate-evals/s is nominal
+ *    (vectors/s times the gate count).
  *  - "oracle" — end-to-end sim::diffCheck vectors/sec on the 4-bit
  *    multiplier (exhaustive, exact ground states), the actual cost a
  *    `qacc --verify` run pays.
@@ -122,7 +125,7 @@ eventRow(const netlist::Netlist &nl, uint64_t vectors, bool incremental)
     }
 }
 
-/** The same full-stimulus vectors through the levelized simulator. */
+/** The same full-stimulus vectors through netlist::Simulator. */
 void
 levelizedRow(const netlist::Netlist &nl, uint64_t vectors)
 {

@@ -14,8 +14,11 @@
 # adjacency and reused heaps indexed by qubit id (DESIGN.md §16).  The
 # kernel-labelled suites run the packed chain pass over C16-embedded
 # models on every engine rung (its CSR chain arrays index the lane
-# planes).  The build is bounded to one job per CPU: an unbounded -j
-# on the whole tree can exhaust a small host's memory.
+# planes).  The artifact- and service-labelled suites hold the
+# decoders of hostile bytes: .qo objects, cache entries and QSVC
+# frames, whose decoded counts bound every reservation.  The build is
+# bounded to one job per CPU: an unbounded -j on the whole tree can
+# exhaust a small host's memory.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,8 +26,10 @@ BUILD=build-asan
 
 cmake -B "$BUILD" -S . -DQAC_SANITIZE=address >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target stats_test cli_test \
-    packed_test kernel_test dimacs_test sim_test embed_test qacc qma qsat
+    packed_test kernel_test dimacs_test sim_test embed_test artifact_test \
+    service_test qacc qma qsat
 cd "$BUILD"
-ctest -L 'stats|packed|kernel|sat|sim|embed' --output-on-failure
+ctest -L 'stats|packed|kernel|sat|sim|embed|artifact|service' \
+    --output-on-failure
 ctest -R cli_test --output-on-failure
 echo "asan verify ok"

@@ -243,9 +243,7 @@ lookupEmbedding(Cache &cache, uint64_t key,
     if (embeddable) {
         uint64_t chains = r.u64();
         for (uint64_t i = 0; i < chains && r.ok(); ++i) {
-            uint64_t len = r.u64();
-            if (len * 4 > r.remaining())
-                break;
+            uint64_t len = r.count(4);
             std::vector<uint32_t> chain;
             chain.reserve(static_cast<size_t>(len));
             for (uint64_t k = 0; k < len && r.ok(); ++k)

@@ -63,8 +63,8 @@ writeModel(Writer &w, const ising::IsingModel &m)
 ising::IsingModel
 readModel(Reader &r)
 {
-    uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) // each h takes >= 8 bytes
+    uint64_t n = r.count(8); // one f64 per h
+    if (!r.ok())
         return ising::IsingModel();
     ising::IsingModel m(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -286,11 +286,7 @@ readChains(Reader &r)
     std::vector<std::vector<uint32_t>> chains;
     uint64_t n = r.u64();
     for (uint64_t i = 0; i < n && r.ok(); ++i) {
-        uint64_t len = r.u64();
-        if (len * 4 > r.remaining()) {
-            poison(r);
-            break;
-        }
+        uint64_t len = r.count(4);
         std::vector<uint32_t> chain;
         chain.reserve(static_cast<size_t>(len));
         for (uint64_t k = 0; k < len && r.ok(); ++k)
@@ -390,11 +386,7 @@ readDecode(Reader &r)
         dimacs::Clause cl;
         cl.weight = r.u64();
         cl.hard = r.u8() != 0;
-        uint64_t nlits = r.u64();
-        if (nlits * 4 > r.remaining()) {
-            poison(r);
-            break;
-        }
+        uint64_t nlits = r.count(4);
         cl.lits.reserve(static_cast<size_t>(nlits));
         for (uint64_t k = 0; k < nlits && r.ok(); ++k)
             cl.lits.push_back(static_cast<int32_t>(r.u32()));

@@ -96,6 +96,17 @@ Reader::f64()
     return v;
 }
 
+uint64_t
+Reader::count(size_t least_elem_bytes)
+{
+    uint64_t n = u64();
+    if (n > remaining() / least_elem_bytes) {
+        ok_ = false;
+        return 0;
+    }
+    return n;
+}
+
 std::string
 Reader::str()
 {

@@ -70,6 +70,13 @@ class Reader
     double f64();
     std::string str();
 
+    /**
+     * A decoded element count: a u64 that fails the reader (and reads
+     * 0) when above remaining() / @p least_elem_bytes, so no count
+     * can promise more elements than the bytes left could hold.
+     */
+    uint64_t count(size_t least_elem_bytes);
+
     bool ok() const { return ok_; }
     size_t remaining() const { return data_.size() - pos_; }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-free levelized netlist simulation.
+ * Forward simulation of an acyclic netlist.
  *
  * Used three ways: (1) as the reference semantics the bit-blaster is
  * tested against, (2) to verify annealer outputs by running NP-verifier
@@ -8,79 +8,33 @@
  * check a result by running the code forward"), and (3) inside tests to
  * cross-check Ising ground states against circuit behaviour.
  *
- * Values are four-state (sim::Logic).  Input-port nets start X and
- * flip-flops power up X, so reading an output that depends on an input
- * the caller never set — or on an un-reset flop — is a hard error
- * instead of a silent 0.  The gate semantics are the shared 4-state
- * tables in qac/sim/logic.h (the event-driven simulator evaluates
- * through the exact same functions).
+ * This is the one simulator, sim::EventSimulator, with the single
+ * extra requirement that no combinational gate sits on a cycle.
+ * Values are four-state: input ports and flip-flops power up X, so
+ * reading an output that depends on an input the caller never set —
+ * or on an un-reset flop — is a hard error instead of a silent 0.
+ * Link qac_sim to use it.
  */
 
 #ifndef QAC_NETLIST_SIMULATE_H
 #define QAC_NETLIST_SIMULATE_H
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "qac/netlist/netlist.h"
-#include "qac/sim/logic.h"
+#include "qac/sim/event_sim.h"
+#include "qac/util/logging.h"
 
 namespace qac::netlist {
 
-/** Four-valued levelized simulator over one Netlist. */
-class Simulator
+/** The event simulator over a netlist without combinational cycles. */
+class Simulator : public sim::EventSimulator
 {
   public:
-    explicit Simulator(const Netlist &nl);
-
-    /** Set an input port from the low bits of @p value. */
-    void setInput(const std::string &port, uint64_t value);
-
-    /** Set an input port bit-by-bit (bits[0] = LSB). */
-    void setInputBits(const std::string &port,
-                      const std::vector<bool> &bits);
-
-    /** Propagate through combinational logic (DFF state unchanged). */
-    void eval();
-
-    /** Latch every DFF (capture D into state), then eval(). */
-    void step();
-
-    /** Reset all DFF state to 0 and re-eval(). */
-    void reset();
-
-    /**
-     * Read an output (or any) port as an integer (width <= 64).
-     * Fatal if any bit is X/Z — an unset input or uninitialized flop
-     * upstream; call setInput / reset first.
-     */
-    uint64_t output(const std::string &port) const;
-
-    std::vector<bool> outputBits(const std::string &port) const;
-
-    /** True when every bit of @p port is 0/1. */
-    bool portKnown(const std::string &port) const;
-
-    /** Two-valued net read; fatal when the net is X/Z. */
-    bool
-    netValue(NetId id) const
+    explicit Simulator(const Netlist &nl) : sim::EventSimulator(nl)
     {
-        return requireKnown(id);
+        if (!acyclic())
+            fatal("netlist '%s' has a combinational cycle",
+                  nl.name().c_str());
     }
-
-    /** Four-valued net read (never fatal). */
-    sim::Logic netLogic(NetId id) const { return values_[id]; }
-
-  private:
-    const Netlist &nl_;
-    std::vector<sim::Logic> values_;  ///< per-net current value
-    std::vector<sim::Logic> dff_state_; ///< per-gate state (DFFs only)
-    std::vector<size_t> topo_;        ///< combinational gates, levelized
-
-    void buildTopoOrder();
-    bool requireKnown(NetId id) const;
-    const Port &port(const std::string &name, PortDir dir) const;
 };
 
 } // namespace qac::netlist

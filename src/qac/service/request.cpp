@@ -93,7 +93,8 @@ runLocal(const core::Executable &exe, const SampleRequest &req)
 
 // Least encoded bytes of one repeated element (a string is a u64
 // length plus its bytes).  A decoded count above remaining() / that
-// cannot be honest, and is rejected before anything is reserved.
+// cannot be honest; Reader::count rejects it before anything is
+// reserved.
 constexpr size_t kPinBytes = 8; // str
 // value count, energy, occurrences, valid, chain_breaks, model_line,
 // clauses_satisfied, clauses_total, weight_violated
@@ -131,8 +132,8 @@ parseRequest(std::string_view bytes, SampleRequest &out,
     artifact::Reader r(bytes);
     SampleRequest req;
     req.object_digest = r.str();
-    uint64_t npins = r.u64();
-    if (npins > r.remaining() / kPinBytes) {
+    uint64_t npins = r.count(kPinBytes);
+    if (!r.ok()) {
         if (error)
             *error = "malformed request: pin count";
         return false;
@@ -215,8 +216,8 @@ parseResult(std::string_view bytes, SampleResult &out,
     res.total_reads = r.u64();
     res.vars_sampled = r.u64();
     res.vars_fixed = r.u64();
-    uint64_t ncand = r.u64();
-    if (ncand > r.remaining() / kCandidateBytes) {
+    uint64_t ncand = r.count(kCandidateBytes);
+    if (!r.ok()) {
         if (error)
             *error = "malformed result: candidate count";
         return false;
@@ -224,8 +225,8 @@ parseResult(std::string_view bytes, SampleResult &out,
     res.candidates.reserve(static_cast<size_t>(ncand));
     for (uint64_t i = 0; i < ncand && r.ok(); ++i) {
         SampleResult::Candidate c;
-        uint64_t nvals = r.u64();
-        if (nvals > r.remaining() / kValueBytes) {
+        uint64_t nvals = r.count(kValueBytes);
+        if (!r.ok()) {
             if (error)
                 *error = "malformed result: value count";
             return false;

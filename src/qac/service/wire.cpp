@@ -91,14 +91,10 @@ parseHello(std::string_view bytes, Hello &out)
     // Counts are bounded by the least encoded size of their elements:
     // a solver name is a u64 length plus bytes; an object is two of
     // those, two u64s and a u8.
-    uint64_t nsolvers = r.u64();
-    if (nsolvers > r.remaining() / 8)
-        return false;
+    uint64_t nsolvers = r.count(8);
     for (uint64_t i = 0; i < nsolvers && r.ok(); ++i)
         h.solvers.push_back(r.str());
-    uint64_t nobjects = r.u64();
-    if (nobjects > r.remaining() / (8 + 8 + 8 + 8 + 1))
-        return false;
+    uint64_t nobjects = r.count(8 + 8 + 8 + 8 + 1);
     for (uint64_t i = 0; i < nobjects && r.ok(); ++i) {
         ObjectInfo o;
         o.digest = r.str();

@@ -2,15 +2,20 @@
  * @file
  * Event-driven 4-state simulation over the gate-level netlist IR.
  *
- * The verification oracle's engine (DESIGN.md §15): a value-change
- * event queue with per-net fanout lists re-evaluates only the cone a
- * change reaches, over the 0/1/X/Z algebra of logic.h.  Flops are
- * X-initialized — uninitialized state is visible as X at the outputs
- * instead of silently reading as 0 — and every value change can be
- * captured into a VCD-style trace (vcd.h).
+ * The one netlist simulator (DESIGN.md §15): the verification oracle,
+ * the x-lint and Executable::evaluate all run it.  A value-change
+ * event queue over one per-net fanout index re-evaluates only the
+ * cone a change reaches, over the 0/1/X/Z algebra of logic.h.  Flops
+ * are X-initialized — uninitialized state is visible as X at the
+ * outputs instead of silently reading as 0 — and every value change
+ * can be captured into a VCD-style trace (vcd.h).
  *
- * Determinism contract: within one delta cycle gates are evaluated in
- * ascending gate index, so identical stimulus yields an identical
+ * Determinism contract: combinational gates are ranked topologically
+ * at construction (inputs and flop outputs are sources; gates on or
+ * behind a combinational cycle share one last rank).  A settle drains
+ * pending gates rank by rank, so each acyclic gate is evaluated at
+ * most once per eval(); the cyclic last rank then runs in delta waves
+ * of ascending gate index.  Identical stimulus yields an identical
  * event count, trace, and final state on every run.
  */
 
@@ -42,12 +47,11 @@ class EventSimulator
 
     const netlist::Netlist &netlist() const { return nl_; }
 
+    /** True when no combinational gate sits on or behind a cycle. */
+    bool acyclic() const { return cyclic_ == 0; }
+
     /** Set an input port from the low bits of @p value (all known). */
     void setInput(const std::string &port, uint64_t value);
-
-    /** Set an input port bit-by-bit (bits[0] = LSB). */
-    void setInputLogic(const std::string &port,
-                       const std::vector<Logic> &bits);
 
     /** Drive every bit of an input port to one value. */
     void setInputAll(const std::string &port, Logic v);
@@ -68,8 +72,8 @@ class EventSimulator
     /** Current value of one net. */
     Logic value(netlist::NetId id) const { return values_[id]; }
 
-    /** Per-bit values of any port (bits[0] = LSB). */
-    std::vector<Logic> portLogic(const std::string &port) const;
+    /** Two-valued net read; fatal when the net is X/Z. */
+    bool netValue(netlist::NetId id) const;
 
     /**
      * Read an output (or any) port as an integer (width <= 64).
@@ -77,6 +81,9 @@ class EventSimulator
      * decay to 0.
      */
     uint64_t output(const std::string &port) const;
+
+    /** output() bit by bit, any width (bits[0] = LSB). */
+    std::vector<bool> outputBits(const std::string &port) const;
 
     /** True when every bit of @p port is 0/1. */
     bool portKnown(const std::string &port) const;
@@ -104,20 +111,27 @@ class EventSimulator
   private:
     const netlist::Netlist &nl_;
     std::vector<Logic> values_;           ///< per-net current value
-    std::vector<Logic> dff_state_;        ///< per-gate state (flops)
-    std::vector<std::vector<uint32_t>> fanout_; ///< net -> gate indices
-    std::vector<uint32_t> pending_;       ///< gate indices to evaluate
+    std::vector<std::vector<uint32_t>> fanout_; ///< net -> comb. gates
+    std::vector<uint32_t> rank_;          ///< per-gate topological rank
+    std::vector<std::vector<uint32_t>> pending_; ///< per-rank gates
     std::vector<uint8_t> in_pending_;     ///< dedup bitmap for pending_
+    std::vector<uint32_t> wave_;          ///< cyclic-rank delta scratch
+    std::vector<uint32_t> flops_;         ///< sequential gate indices
+    std::vector<Logic> latched_;          ///< step() scratch, per flop
+    size_t cyclic_ = 0;                   ///< gates in the last rank
     std::vector<Change> trace_;
     bool tracing_ = false;
     uint64_t time_ = 0;
     uint64_t events_ = 0;
     uint64_t changes_ = 0;
 
+    void rankGates();
     /** Write @p v to @p net; schedules fanout on change. */
     void setNet(netlist::NetId net, Logic v);
     void schedule(uint32_t gate);
+    void evaluate(uint32_t gate);
     void settle(); ///< drain pending_ to a fixpoint
+    bool knownBit(const netlist::Port &p, size_t i) const;
     const netlist::Port &inPort(const std::string &name) const;
     const netlist::Port &anyPort(const std::string &name) const;
 };

@@ -11,10 +11,9 @@
  * sound: a net the lint reports as known really is independent of
  * every unknown in the design.
  *
- * Header-only on purpose: the 2-state netlist::Simulator (which sits
- * below qac_sim in the library stack) evaluates through these tables
- * too, so its "unset input" detection and the event-driven
- * simulator's X propagation can never drift apart.
+ * The one netlist simulator (event_sim.h) evaluates every gate
+ * through evalGate4, so its X propagation, the x-lint, and the
+ * "unset input" errors of netlist::Simulator all share these tables.
  */
 
 #ifndef QAC_SIM_LOGIC_H

@@ -363,6 +363,51 @@ TEST(Qo, OutOfRangeChainQubitIsMalformed)
     expectMalformed(no_hw, "embedding without hardware");
 }
 
+/** @p compiled's .qo with the u64 count in front of the u32 run @p run
+ *  replaced by @p count, frame digest recomputed. */
+std::string
+withCount(const core::CompileResult &compiled,
+          const std::vector<uint32_t> &run, uint64_t count)
+{
+    std::string bytes = serializeQo(compiled);
+    auto payload = unframe(bytes, "QACO");
+    Writer was, now;
+    was.u64(run.size());
+    for (uint32_t v : run)
+        was.u32(v);
+    now.u64(count);
+    std::string p(payload.value());
+    const size_t at = p.find(was.buffer());
+    EXPECT_NE(at, std::string::npos);
+    if (at != std::string::npos)
+        p.replace(at, 8, now.buffer());
+    return frame("QACO", p);
+}
+
+TEST(Qo, OverlongElementCountsAreMalformed)
+{
+    // 2^62 four-byte elements: a count * 4 bound wraps to 0 here.
+    const uint64_t huge = uint64_t{1} << 62;
+    std::string err;
+
+    auto chain = compileMult(true);
+    ASSERT_TRUE(chain.embedding);
+    chain.embedding->chains[0] = {0x5eed0001u, 0x5eed0002u};
+    EXPECT_FALSE(deserializeQo(
+        withCount(chain, {0x5eed0001u, 0x5eed0002u}, huge), &err));
+    EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+
+    auto clause = compileMult(false);
+    clause.dimacs_decode.emplace();
+    clause.dimacs_decode->clauses.push_back({{123456789, -987654321}});
+    err.clear();
+    EXPECT_FALSE(deserializeQo(
+        withCount(clause,
+                  {123456789u, static_cast<uint32_t>(-987654321)}, huge),
+        &err));
+    EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------- cache
 
 TEST(Cache, DefaultDirHonorsEnvOverride)
@@ -472,6 +517,36 @@ TEST(Cache, CorruptOrMismatchedEntriesBehaveAsMiss)
     wrong.chains = {{0}, {1}};
     storeEmbedding(cache, key, wrong);
     EXPECT_FALSE(lookupEmbedding(cache, key, edges, hw).hit);
+}
+
+TEST(Cache, OverlongChainLengthIsCorrupt)
+{
+    auto &reg = stats::Registry::global();
+    bool prev = reg.setEnabled(true);
+    reg.reset();
+    CacheOptions opts;
+    opts.dir = scratchDir("overlong");
+    Cache cache(opts);
+    ASSERT_TRUE(cache.enabled());
+
+    auto hw = chimera::chimeraGraph(1);
+    std::vector<std::pair<uint32_t, uint32_t>> edges = {{0, 1}};
+    embed::EmbedParams params;
+    uint64_t key = embeddingCacheKey(ising::IsingModel(2), hw, params);
+
+    // Embeddable, one chain claiming 2^62 qubits (len * 4 wraps to 0).
+    Writer w;
+    w.u8(1);
+    w.u64(1);
+    w.u64(uint64_t{1} << 62);
+    w.u32(0);
+    ASSERT_TRUE(
+        cache.store(embeddingEntryName(key), frame("QACE", w.buffer())));
+    EXPECT_FALSE(lookupEmbedding(cache, key, edges, hw).hit);
+    EXPECT_EQ(counterValue("qac.cache.corrupt"), 1u);
+
+    reg.reset();
+    reg.setEnabled(prev);
 }
 
 TEST(Cache, KeyIsSensitiveToEveryInput)
